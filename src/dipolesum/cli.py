@@ -8,9 +8,10 @@ Subcommands:
     kramers    identity residuals for a state
     potential  bound-state solver diagnostics
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
-Exact rationals are emitted as "p/q" strings; output is deterministic for a
-fixed configuration.
+Exit codes: 0 all checks pass, 1 verification or numerical failure (or any
+unexpected error, reported on one stderr line), 2 usage error.  Exact
+rationals are emitted as full "p/q" strings, however many digits they have;
+output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle, potentials
-from .errors import DipoleSumError, DivergentSumRule
+from .errors import DipoleSumError, DivergentSumRule, NumericalFailure
 from .hydrogen import bound_bound_z2, bound_state, channel
 from .ladder import build_f_ladder, greens_negative_order
 from .oracle import QuadratureSpec, contour_check, max_convergent_order
@@ -45,9 +46,17 @@ CSV_COLUMNS = ["J", "channel", "discrete", "continuum", "total", "constructive",
 
 
 def _frac_str(x: Fraction | None) -> str | None:
+    """Full "p/q" digits, past the int-to-str digit limit of Python >= 3.11."""
     if x is None:
         return None
-    return f"{x.numerator}/{x.denominator}"
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_state(text: str) -> tuple[int, int]:
@@ -63,10 +72,14 @@ def _parse_orders(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+            orders = list(range(int(lo), int(hi) + 1))
+        else:
+            orders = [int(text)]
     except ValueError:
         raise SystemExit(_usage_error(f"cannot parse order range {text!r}"))
+    if not orders:
+        raise SystemExit(_usage_error(f"empty order range {text!r}"))
+    return orders
 
 
 def _parse_potential(text: str) -> potentials.Potential:
@@ -76,13 +89,21 @@ def _parse_potential(text: str) -> potentials.Potential:
     if text == "log":
         return LOG
     if text.startswith("gamma="):
-        return power_law(Fraction(text.split("=", 1)[1]))
+        try:
+            return power_law(Fraction(text.split("=", 1)[1]))
+        except (ValueError, ZeroDivisionError):
+            pass
     raise SystemExit(_usage_error(f"cannot parse potential {text!r}"))
 
 
+def _error(msg: str, code: int) -> int:
+    """Report msg as one "error:" line on stderr and return the exit code."""
+    print("error: " + " ".join(msg.split()), file=sys.stderr)
+    return code
+
+
 def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
+    return _error(msg, 2)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -412,6 +433,13 @@ def run_verify(suite: str, tol: float, spec: QuadratureSpec) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative: {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dipolesum",
                                 description="energy-weighted dipole sum rules")
@@ -421,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="recompute a sum-rule table")
     t.add_argument("--state", help="Coulomb state selector, e.g. 1s, 2p")
     t.add_argument("--potential", help="coulomb | gamma=<g> | log")
-    t.add_argument("--nodes", type=int, default=0)
-    t.add_argument("--l", type=int, default=0)
+    t.add_argument("--nodes", type=_nonnegative_int, default=0)
+    t.add_argument("--l", type=_nonnegative_int, default=0)
     t.add_argument("--orders", default="0..3", help="order range A..B")
     t.add_argument("--channel", default="both", choices=["plus", "minus", "total", "both"])
     t.add_argument("--nmax", type=int, default=2000)
@@ -449,8 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("potential", help="bound-state solver diagnostics")
     q.add_argument("--potential", required=True)
-    q.add_argument("--l", type=int, default=0)
-    q.add_argument("--nodes", type=int, default=0)
+    q.add_argument("--l", type=_nonnegative_int, default=0)
+    q.add_argument("--nodes", type=_nonnegative_int, default=0)
     q.add_argument("--format", default="text", choices=["text", "json"])
     return p
 
@@ -462,7 +490,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    config = _load_config(getattr(args, "config", None))
+    try:
+        config = _load_config(getattr(args, "config", None))
+    except (OSError, UnicodeDecodeError) as exc:
+        return _usage_error(f"cannot read config file: {exc}")
     if config:
         tokens = argv if argv is not None else sys.argv[1:]
         explicit = {t[2:].split("=", 1)[0].replace("-", "_")
@@ -490,9 +521,12 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_potential(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except NumericalFailure as exc:
+        return _error(f"{type(exc).__name__}: {exc}", 1)
     except DipoleSumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc), 2)
+    except Exception as exc:  # noqa: BLE001 -- the CLI never prints a traceback
+        return _error(f"{type(exc).__name__}: {exc}", 1)
     return 2
 
 

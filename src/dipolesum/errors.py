@@ -1,12 +1,18 @@
 """Exception types shared across the package.
 
 Each error marks a violated contract; callers that can recover catch the
-specific class, the CLI maps them to exit codes.
+specific class, the CLI maps them to exit codes: a NumericalFailure (an
+iteration, grid or quadrature that did not deliver) exits 1, any other
+package error is a rejected input and exits 2.
 """
 
 
 class DipoleSumError(Exception):
     """Base class for all package errors."""
+
+
+class NumericalFailure(DipoleSumError):
+    """A numerical method failed on valid input (not the caller's fault)."""
 
 
 class RateMismatch(DipoleSumError):
@@ -42,7 +48,7 @@ class NonPositiveQ(DipoleSumError):
     """Continuum wavenumber must be positive."""
 
 
-class GridTooShort(DipoleSumError):
+class GridTooShort(NumericalFailure):
     """Grid does not reach far enough into the asymptotic region."""
 
 
@@ -50,15 +56,15 @@ class ChannelMismatch(DipoleSumError):
     """Continuum wave angular momentum is not a dipole partner of the state."""
 
 
-class QuadratureNotConverged(DipoleSumError):
+class QuadratureNotConverged(NumericalFailure):
     """Iterated quadrature failed to reach the requested tolerance."""
 
 
-class NoBoundState(DipoleSumError):
+class NoBoundState(NumericalFailure):
     """The potential has no bound state with the requested node count."""
 
 
-class NotConverged(DipoleSumError):
+class NotConverged(NumericalFailure):
     """Eigenvalue iteration exhausted without meeting tolerance."""
 
 

@@ -1,12 +1,16 @@
 """Brute-force evaluation of the sum rules.
 
-Discrete parts sum exact squared matrix elements over the first n_max levels
+Discrete parts sum squared matrix elements over the first n_max levels
 (n_max = 2000 by default, matching the reference splits, which are truncated
-sums).  Continuum parts integrate |<m,l|z|q,l'>|^2 against (k_m^2 + q^2)^J
-with the substitution q = k_m tan(u) on composite Gauss-Legendre panels; the
-ground state uses its closed form, other states use numeric waves with the
-results cached per channel so every order reuses the same wave set.  The
-far tail q > q_cut is integrated analytically from a fitted inverse-power
+sums).  Each element is the float finish of the exact factored kernel
+(hydrogen.bound_bound_z2_float): the small exact prefactor is rounded once and
+the giant power of (n-m)/(n+m) is taken through log1p, so no alternating sum
+is ever done in floating point and every element stays within a few ulp of
+float(bound_bound_z2).  Continuum parts integrate |<m,l|z|q,l'>|^2 against
+(k_m^2 + q^2)^J with the substitution q = k_m tan(u) on composite
+Gauss-Legendre panels; the ground state uses its closed form, other states
+use numeric waves with the results cached per channel so every order reuses
+the same wave set.  The far tail q > q_cut is integrated analytically from a fitted inverse-power
 expansion of g(q) = |M|^2 (1 - exp(-2 pi / q)), whose leading power is
 9 + 2 l for a bound state of angular momentum l.
 
@@ -28,7 +32,7 @@ from .hydrogen import (
     BoundState,
     Channel,
     WaveSpec,
-    bound_bound_z2,
+    bound_bound_z2_float,
     bound_free_amplitude_reduced,
     bound_free_z2,
     bound_state,
@@ -57,17 +61,6 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass
-class SplitResult:
-    discrete: float
-    continuum: float
-    estimated_error: float
-
-    @property
-    def total(self) -> float:
-        return self.discrete + self.continuum
-
-
 def max_convergent_order(state: BoundState) -> int:
     """Largest J whose continuum integral converges for a Coulomb state."""
     return 3 + state.l
@@ -91,7 +84,7 @@ def _z2_table(state: BoundState, chan: Channel, n_max: int) -> list[float]:
     if not table:
         table = [0.0] * (lp + 1)
     for n in range(start, n_max + 1):
-        table.append(float(bound_bound_z2(state, n, chan)))
+        table.append(bound_bound_z2_float(state, n, chan))
     _Z2_CACHE[key] = table
     return table
 

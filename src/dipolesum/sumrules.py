@@ -285,9 +285,6 @@ def _origin_data(choice: FChoice, v0: Potential, state) -> tuple[Fraction | None
     return b * q * (q - 1), q - 1  # rho * v0''
 
 
-_LAURENT_DIFF_CACHE: dict = {}
-
-
 def _laurent_diff(f: dict[int, Fraction], order: int = 1) -> dict[int, Fraction]:
     out = dict(f)
     for _ in range(order):

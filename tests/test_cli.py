@@ -1,10 +1,22 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
+from dipolesum import cli
 from dipolesum.cli import CSV_COLUMNS, main
+from dipolesum.errors import (
+    GridTooShort,
+    InvalidOrder,
+    InvalidQuantumNumbers,
+    NoBoundState,
+    NotConverged,
+    QuadratureNotConverged,
+)
+from dipolesum.hydrogen import bound_bound_z2, bound_state, channel
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +77,13 @@ class TestTable:
         code, _, _ = run_cli(capsys, "table")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["table", "kramers"])
+    def test_empty_order_range_exit_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--state", "1s", "--orders", "3..1")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: empty order range '3..1'"
+
 
 class TestMatrix:
     def test_exact_rational_emitted(self, capsys):
@@ -73,6 +92,54 @@ class TestMatrix:
         assert code == 0
         data = json.loads(out)
         assert data["z2"] == "32768/59049"
+
+    def test_full_digits_past_int_str_limit(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        code, out, _ = run_cli(capsys, "matrix", "--state", "2p", "--to-n", "2000",
+                               "--channel", "minus")
+        assert code == 0
+        if limit:
+            assert sys.get_int_max_str_digits() == limit   # restored after printing
+            sys.set_int_max_str_digits(0)
+        try:
+            text = out.split(" = ")[1]
+            assert len(text) > 5000
+            assert Fraction(text) == bound_bound_z2(bound_state(2, 1), 2000, channel("minus", 1))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("exc,code", [
+        (QuadratureNotConverged("panel refinement is not contracting"), 1),
+        (NotConverged("eigenvalue refinement did not converge"), 1),
+        (GridTooShort("normalization points disagree"), 1),
+        (NoBoundState("requested state above the continuum threshold"), 1),
+        (ValueError("grid overlap requires a shared grid"), 1),
+        (RuntimeError("unexpected\nsecond line"), 1),
+        (InvalidQuantumNumbers("(n, l) = (2, 2)"), 2),
+        (InvalidOrder("order outside the range"), 2),
+    ])
+    def test_error_kinds(self, capsys, monkeypatch, exc, code):
+        def boom(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_matrix", boom)
+        got, out, err = run_cli(capsys, "matrix", "--state", "1s", "--to-n", "2",
+                                "--channel", "plus")
+        assert got == code
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_parse_errors_exit_2(self, capsys, tmp_path):
+        for argv in (["table", "--potential", "gamma=x"],
+                     ["table", "--state", "1s", "--orders", "a..b"],
+                     ["potential", "--potential", "gamma=2", "--nodes", "-1"],
+                     ["--config", str(tmp_path / "missing.cfg"), "table", "--state", "1s"]):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert "Traceback" not in err
 
 
 class TestKramers:

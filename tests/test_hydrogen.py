@@ -16,7 +16,9 @@ from dipolesum.errors import (
 )
 from dipolesum.hydrogen import (
     WaveSpec,
+    _z2_factors,
     bound_bound_z2,
+    bound_bound_z2_float,
     bound_bound_z2_overlap,
     bound_free_z2,
     bound_free_z2_reduced,
@@ -101,6 +103,47 @@ class TestBoundBound:
     def test_missing_target(self):
         with pytest.raises(InvalidQuantumNumbers):
             bound_bound_z2(bound_state(2, 1), 2, channel("plus", 1))
+
+
+KERNEL_CHANNELS = [(1, 0, "plus"), (2, 0, "plus"), (2, 1, "plus"), (2, 1, "minus"),
+                   (3, 2, "plus"), (3, 2, "minus"), (4, 1, "minus"), (4, 3, "minus")]
+
+
+class TestFactoredKernel:
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_float_finish_matches_exact(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        targets = list(range(ch.target_l + 1, 51)) + list(range(97, 2001, 97))
+        for to_n in targets:
+            want = float(bound_bound_z2(st, to_n, ch))
+            got = bound_bound_z2_float(st, to_n, ch)
+            assert abs(got - want) <= 1e-13 * abs(want), (to_n, got, want)
+
+    @pytest.mark.parametrize("n,l,direction", [(2, 1, "minus"), (2, 0, "plus"), (3, 1, "plus"),
+                                               (3, 1, "minus"), (3, 2, "minus"), (4, 3, "minus"),
+                                               (5, 2, "plus")])
+    def test_degenerate_target(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        small, ratio, power = _z2_factors(st, n, ch)
+        assert ratio == 0 and power == 0
+        exact = bound_bound_z2(st, n, ch)
+        assert exact == small == bound_bound_z2_overlap(st, n, ch)
+        assert bound_bound_z2_float(st, n, ch) == float(exact)
+
+    def test_giant_power_factored_out(self):
+        # all digits that grow with to_n sit in ratio**power; the power is
+        # 2 (k - j_max) with k = 2000 - l' - 1 and j_max = 2 - l' + 1
+        st, ch = bound_state(2, 1), channel("minus", 1)
+        small, ratio, power = _z2_factors(st, 2000, ch)
+        assert ratio == F(1998, 2002) and power == 2 * (1999 - 3)
+        exact = bound_bound_z2(st, 2000, ch)
+        assert exact == small * ratio**power
+        assert small.numerator.bit_length() < 200 < 20000 < exact.numerator.bit_length()
+
+    def test_exact_finish_at_large_n(self):
+        s1, ch = bound_state(1, 0), channel("plus", 0)
+        for n in (500, 1000, 1999, 2000):
+            assert bound_bound_z2(s1, n, ch) == z2_1s_to_np(n)
 
 
 class TestContinuumClosedForm:
