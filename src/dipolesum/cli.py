@@ -483,30 +483,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _with_config(tokens: list[str], args, config: dict[str, str]) -> list[str]:
+    """Insert config entries as --key=value tokens right after the subcommand,
+    so argparse validates them and the user's own flags, parsed later, win.
+    Keys the subcommand does not have are ignored."""
+    at = 0
+    while at < len(tokens) and tokens[at] != args.command:   # only --config [=]FILE precedes it
+        at += 1 if "=" in tokens[at] else 2
+    extra = []
+    for key, val in config.items():
+        dest = key.replace("-", "_")
+        if dest not in ("config", "command") and hasattr(args, dest):
+            extra.append(f"--{dest.replace('_', '-')}={val}")
+    return tokens[:at + 1] + extra + tokens[at + 1:]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    tokens = list(argv) if argv is not None else sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        config = _load_config(getattr(args, "config", None))
+        config = _load_config(args.config)
     except (OSError, UnicodeDecodeError) as exc:
         return _usage_error(f"cannot read config file: {exc}")
     if config:
-        tokens = argv if argv is not None else sys.argv[1:]
-        explicit = {t[2:].split("=", 1)[0].replace("-", "_")
-                    for t in tokens if t.startswith("--")}
-        for key, val in config.items():
-            if key in explicit or not hasattr(args, key):
-                continue
-            current = getattr(args, key)
-            cast = type(current) if current is not None and not isinstance(current, bool) else str
-            try:
-                setattr(args, key, cast(val))
-            except (TypeError, ValueError):
-                return _usage_error(f"bad config value {key}={val}")
+        try:
+            args = parser.parse_args(_with_config(tokens, args, config))
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
 
     try:
         if args.command == "table":

@@ -9,9 +9,11 @@ Continuum states are energy-normalized in wavenumber: asymptotically
 
     u_q(rho) -> sqrt(2/pi) sin(q rho + log(2 q rho)/q - l pi/2 + sigma_l).
 
-They are integrated outward with Numerov and normalized by matching one
+Bound-free elements have a closed form (bound_free_z2_closed), which the
+oracle uses.  The paper's independent numeric route stays here as well:
+waves integrated outward with Numerov and normalized by matching one
 interior point against the exact regular solution evaluated by power series
-(with the closed-form amplitude constant), which stays accurate at every q.
+(with the closed-form amplitude constant), then bound_free_z2 by quadrature.
 """
 
 from __future__ import annotations
@@ -228,14 +230,58 @@ def continuum_z2_1s(q: float) -> float:
     """Closed form for |<1S| z |q, l=1>|^2 (angular factor included).
 
     (1/3) 2^8 q (1+q^2)^-5 exp(-4 atan(q)/q) / (1 - exp(-2 pi / q)),
-    with the final factor evaluated as 1 for very small q where the
-    exponential underflows.
+    with the final factor taken through expm1, so it stays accurate at
+    large q and is exactly 1 at small q.
     """
     if q <= 0:
         raise NonPositiveQ("q must be positive")
-    expo = 2.0 * math.pi / q
-    denom = 1.0 if expo > 700.0 else 1.0 - math.exp(-expo)
+    denom = -math.expm1(-2.0 * math.pi / q)
     return (256.0 / 3.0) * q * (1.0 + q * q) ** -5 * math.exp(-4.0 * math.atan(q) / q) / denom
+
+
+def bound_free_z2_closed(state: BoundState, chan: Channel, q) -> np.ndarray:
+    """|<n,l| z |q, l'>|^2 with the angular weight, in closed form, for an array of q.
+
+    The regular Coulomb function (A&S 14.1.3), with eta = -1/q,
+
+        F_l'(eta, q rho) = C_l'(eta) (q rho)^(l'+1) exp(-i q rho) M(a, b, 2 i q rho),
+        a = l' + 1 - i eta,   b = 2 l' + 2,
+
+    turns each term c_e rho^e exp(-rho/n) of the bound state into a Laplace
+    transform p! s^-(p+1) 2F1(a, p+1; b; z) with p = e + l' + 2, s = 1/n + i q
+    and z = 2 i q / s.  Euler's transformation gives
+    (1-z)^(b-a-p-1) 2F1(b-a, -j; b; z) with j = p + 1 - b = e - l' + 1 >= 1,
+    a polynomial of degree j; |1 - z| = 1, so the prefactor is taken as
+    exp((b-a-p-1) log(1-z)).  The amplitude is real up to rounding; its real
+    part, squared, times chan.weight is returned (Gordon 1929; Storey and
+    Hummer 1991).  For n <= 5 and q in [1e-3, 1e4] it agrees with a 60-digit
+    evaluation of the same sum to 1.1e-13 relative, and with
+    continuum_z2_1s to 2e-14.
+    """
+    if chan.l != state.l:
+        raise InvalidQuantumNumbers("channel does not start at the state's l")
+    q = np.asarray(q, dtype=float)
+    if np.any(q <= 0):
+        raise NonPositiveQ("q must be positive")
+    lp = chan.target_l
+    b = 2 * lp + 2
+    b_minus_a = lp + 1 - 1j / q
+    s = 1.0 / state.n + 1j * q
+    z = 2j * q / s
+    log_s, log_1mz = np.log(s), np.log1p(-z)
+    amp = np.zeros(q.shape, dtype=complex)
+    for e, c in state.radial.terms:
+        p = e + lp + 2
+        j = p + 1 - b
+        term = np.ones(q.shape, dtype=complex)
+        poly = term
+        for i in range(j):
+            term = term * ((b_minus_a + i) * ((i - j) / ((b + i) * (i + 1)))) * z
+            poly = poly + term
+        prefactor = np.exp((-1j / q - e - 2) * log_1mz - (p + 1) * log_s)
+        amp += float(c) * math.factorial(p) * prefactor * poly
+    amp = amp.real * np.exp(0.5 * _ln_coulomb_c2(lp, q)) * q ** (lp + 1)
+    return float(chan.weight * state.norm2) * (2.0 / math.pi) * amp**2
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +328,12 @@ def reference_expectation(m: int, l: int, p: int) -> Fraction:
 class WaveSpec:
     """Grid policy for continuum integration.
 
-    rho_max = None applies max(40, 30/q); the oracle passes a fixed cap since
-    its matrix elements only need the bound-state support.
+    rho_max = None applies max(40, 30/q), enough for the wave's own
+    calibration but not for a bound-free quadrature, which needs the whole
+    support of the bound state; that support grows like n^2.  At q = 2 the
+    2s and 2p elements from bound_free_z2 are off by up to 1.5e-3 with the
+    default grid and agree with bound_free_z2_closed to 5e-7 with
+    rho_max = 90.
     """
 
     rho_max: float | None = None
@@ -318,25 +368,27 @@ def _series_u(l: int, q: float, rho: float, terms: int = 26) -> float:
     return rho ** (l + 1) * s
 
 
-def coulomb_f_regular(l: int, q: float, x: float) -> float:
-    """Exact regular Coulomb function F_l(eta=-1/q, x) with unit asymptotic
-    amplitude, via its normalized power series.
+def _ln_coulomb_c2(l: int, q):
+    """ln C_l(eta)^2 at eta = -1/q, for a float or an array of q > 0:
 
     ln C_l^2 = l ln 4 + ln(2 pi |eta|) - ln(1 - exp(-2 pi |eta|))
                + sum_{j=1..l} ln(j^2 + eta^2) - 2 ln (2l+1)!
+    """
+    x = 2.0 * np.pi / q
+    out = l * math.log(4.0) + np.log(x) - np.log(-np.expm1(-x))
+    for j in range(1, l + 1):
+        out = out + np.log(j * j + 1.0 / (q * q))
+    return out - 2.0 * math.lgamma(2 * l + 2)
+
+
+def coulomb_f_regular(l: int, q: float, x: float) -> float:
+    """Exact regular Coulomb function F_l(eta=-1/q, x) with unit asymptotic
+    amplitude, via its normalized power series C_l x^(l+1) sum a_j x^j.
 
     Accurate while the series cancellation stays mild; callers keep
     x <= min(3, 20 q) so the working loss is under ~6 digits.
     """
     eta = -1.0 / q
-    ae = abs(eta)
-    ln_c2 = l * math.log(4.0) + math.log(2.0 * math.pi * ae)
-    if 2.0 * math.pi * ae < 700.0:
-        ln_c2 -= math.log1p(-math.exp(-2.0 * math.pi * ae))
-    for j in range(1, l + 1):
-        ln_c2 += math.log(j * j + eta * eta)
-    ln_c2 -= 2.0 * math.lgamma(2 * l + 2)
-
     a_prev2 = 0.0
     a_prev = 1.0
     s = 1.0
@@ -349,7 +401,7 @@ def coulomb_f_regular(l: int, q: float, x: float) -> float:
         a_prev2, a_prev = a_prev, a
         if j > 8 and abs(term) < 1e-18 * max(1.0, abs(s)):
             break
-    return math.exp(0.5 * ln_c2) * x ** (l + 1) * s
+    return math.exp(0.5 * float(_ln_coulomb_c2(l, q))) * x ** (l + 1) * s
 
 
 def continuum_wave(l: int, q: float, spec: WaveSpec | None = None) -> ContinuumWave:
@@ -442,43 +494,3 @@ def bound_free_z2(state: BoundState, wave: ContinuumWave) -> float:
     integrand = state.values(wave.grid) * wave.grid * wave.values
     integral = _simpson_from_origin(integrand, wave.h)
     return float(chan.weight) * integral**2
-
-
-@lru_cache(maxsize=None)
-def _reduced_dipole_weight(n: int, l: int, target_l: int) -> PolyExp:
-    """g with <rho R | u_q> = <g | u_q> / q^2, from the wave equation:
-
-        g = (l'(l'+1)/rho^2 - 2/rho) f - f'',   f = rho R.
-
-    Exact integration by parts; the boundary terms vanish for every dipole
-    channel here because g ~ rho^l and u_q ~ rho^(l'+1) with l + l' >= 1.
-    """
-    state = bound_state(n, l)
-    f = xa.shift(state.radial, 1)
-    lam = target_l * (target_l + 1)
-    g = xa.scale(xa.shift(f, -2), lam)
-    g = xa.add(g, xa.scale(xa.shift(f, -1), -2))
-    g = xa.sub(g, xa.differentiate(xa.differentiate(f)))
-    return g
-
-
-def bound_free_z2_reduced(state: BoundState, wave: ContinuumWave) -> float:
-    """Same value as bound_free_z2 through the q^2-reduced integrand.
-
-    Pulls two powers of q out analytically, which keeps the quadrature
-    well-conditioned where the raw oscillatory integral cancels to below
-    the Simpson noise floor (large q).
-    """
-    chan = _channel_for_wave(state, wave)
-    g = _reduced_dipole_weight(state.n, state.l, wave.l)
-    integrand = polyexp_values(g, state.norm2, wave.grid) * wave.values
-    integral = _simpson_from_origin(integrand, wave.h) / wave.q**2
-    return float(chan.weight) * integral**2
-
-
-def bound_free_amplitude_reduced(state: BoundState, wave: ContinuumWave) -> float:
-    """Signed reduced radial integral <rho R | u_q> (no channel weight)."""
-    _channel_for_wave(state, wave)
-    g = _reduced_dipole_weight(state.n, state.l, wave.l)
-    integrand = polyexp_values(g, state.norm2, wave.grid) * wave.values
-    return _simpson_from_origin(integrand, wave.h) / wave.q**2

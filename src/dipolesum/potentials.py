@@ -143,19 +143,22 @@ def _numerov_sweep(fcoef: np.ndarray, w0: float, w1: float) -> tuple[np.ndarray,
     """Forward Numerov recurrence; returns solution and node count.
 
     fcoef[i] = 1 - (h^2/12) W_i for w'' = W w on a uniform grid.
-    Rescales when values grow past 1e250 (only the shape matters).
+    Rescales when values grow past 1e250 (only the shape matters).  A node
+    is a strict sign change between neighbours, tested by comparing signs:
+    their product overflows once both pass about 1e154.
     """
     n = len(fcoef)
     w = np.empty(n)
     w[0], w[1] = w0, w1
     nodes = 0
-    fprev = fcoef[0]
-    fcur = fcoef[1]
+    flist = fcoef.tolist()
+    fprev = flist[0]
+    fcur = flist[1]
     wp, wc = w0, w1
     for i in range(2, n):
-        fnext = fcoef[i]
+        fnext = flist[i]
         wn = ((12.0 - 10.0 * fcur) * wc - fprev * wp) / fnext
-        if wn * wc < 0.0:
+        if wn < 0.0 < wc or wc < 0.0 < wn:
             nodes += 1
         if abs(wn) > 1e250:
             scale = 1e-200

@@ -1,11 +1,15 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dipolesum
 from dipolesum import cli
 from dipolesum.cli import CSV_COLUMNS, main
 from dipolesum.errors import (
@@ -161,6 +165,17 @@ class TestPotentialCommand:
         assert abs(data["virial_residual"]) < 1e-6
         assert data["force_rule"] == pytest.approx(data["force_rule_expected"], abs=1e-5)
 
+    def test_no_overflow_warning_in_node_count(self):
+        # the sweep's node test must not overflow on neighbours of ~1e250
+        env = dict(os.environ)
+        src = str(Path(dipolesum.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "dipolesum",
+                               "potential", "--potential", "gamma=1/2", "--nodes", "3"],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "nodes: 3" in proc.stdout
+
 
 class TestConfigFile:
     def test_config_overrides_defaults(self, capsys, tmp_path):
@@ -179,6 +194,29 @@ class TestConfigFile:
         assert code == 0
         rows = json.loads(out)
         assert [r["J"] for r in rows] == [2]
+
+    @pytest.mark.parametrize("line,argv", [
+        ("nodes=-1", ["potential", "--potential", "gamma=2"]),
+        ("format=xml", ["table", "--state", "1s", "--orders", "0..0"]),
+    ])
+    def test_invalid_config_value_exit_2(self, capsys, tmp_path, line, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,nodes", [([], 1), (["--nodes", "0"], 0)])
+    def test_typed_config_value_and_flag_override(self, capsys, tmp_path, flags, nodes):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes=1\nformat=json\n")
+        code, out, _ = run_cli(capsys, f"--config={cfg}", "potential", "--potential", "gamma=2",
+                               *flags)
+        assert code == 0
+        data = json.loads(out)
+        assert data["nodes"] == nodes
+        assert data["energy"] == pytest.approx(1.5 + 2 * nodes, abs=1e-8)
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from scipy.integrate import simpson
 
@@ -21,7 +22,7 @@ from dipolesum.hydrogen import (
     bound_bound_z2_float,
     bound_bound_z2_overlap,
     bound_free_z2,
-    bound_free_z2_reduced,
+    bound_free_z2_closed,
     bound_state,
     channel,
     continuum_wave,
@@ -188,14 +189,49 @@ class TestContinuumWaves:
         with pytest.raises(ChannelMismatch):
             bound_free_z2(bound_state(1, 0), continuum_wave(0, 1.0, WaveSpec(rho_max=40.0)))
 
-    def test_reduced_route_matches_direct(self):
-        spec = WaveSpec(rho_max=90.0)
-        for st, lp, q in [(bound_state(2, 0), 1, 2.0), (bound_state(2, 1), 0, 3.0),
-                          (bound_state(2, 1), 2, 1.5)]:
-            wave = continuum_wave(lp, q, spec)
-            a = bound_free_z2(st, wave)
-            b = bound_free_z2_reduced(st, wave)
-            assert b == pytest.approx(a, rel=2e-5)
+
+def _coulombf_amplitude(state, lp, q, panel=3.0, order=20):
+    """sqrt(2/pi) int u(rho) rho F_lp(-1/q, q rho) drho with mpmath's Coulomb
+    function on composite Gauss-Legendre panels out to rho = 50 n."""
+    mp = pytest.importorskip("mpmath")
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    edges = np.arange(0.0, 50.0 * state.n + panel, panel)
+    mid = (0.5 * (edges[:-1] + edges[1:]))[:, None]
+    half = (0.5 * np.diff(edges))[:, None]
+    rho = (mid + half * nodes).ravel()
+    w = (half * weights).ravel()
+    with mp.workdps(15):
+        f = np.array([float(mp.coulombf(lp, -1.0 / q, q * r)) for r in rho])
+    return math.sqrt(2.0 / math.pi) * math.fsum((w * state.values(rho) * rho * f).tolist())
+
+
+class TestBoundFreeClosedForm:
+    def test_matches_ground_state_closed_form(self):
+        qs = np.logspace(-3, 4, 300)
+        got = bound_free_z2_closed(bound_state(1, 0), channel("plus", 0), qs)
+        want = np.array([continuum_z2_1s(q) for q in qs])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("l,direction,q", [
+        (l, d, q) for l, d in [(0, "plus"), (1, "plus"), (1, "minus")] for q in (0.1, 0.5, 2.0)
+    ] + [(1, "minus", 3.0), (1, "plus", 1.5)])
+    def test_matches_numerov(self, l, direction, q):
+        st, ch = bound_state(2, l), channel(direction, l)
+        got = bound_free_z2(st, continuum_wave(ch.target_l, q, WaveSpec(rho_max=90.0)))
+        assert got == pytest.approx(float(bound_free_z2_closed(st, ch, q)), rel=1e-6)
+
+    @pytest.mark.parametrize("n,l,direction,q", [(3, 0, "plus", 0.3), (3, 2, "plus", 1.0),
+                                                 (3, 2, "minus", 0.5), (4, 3, "minus", 0.3)])
+    def test_matches_mpmath_coulomb_quadrature(self, n, l, direction, q):
+        st, ch = bound_state(n, l), channel(direction, l)
+        want = float(ch.weight) * _coulombf_amplitude(st, ch.target_l, q) ** 2
+        assert float(bound_free_z2_closed(st, ch, q)) == pytest.approx(want, rel=1e-9)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NonPositiveQ):
+            bound_free_z2_closed(bound_state(2, 1), channel("plus", 1), np.array([1.0, 0.0]))
+        with pytest.raises(InvalidQuantumNumbers):
+            bound_free_z2_closed(bound_state(2, 1), channel("plus", 0), 1.0)
 
 
 class TestExpectations:

@@ -105,6 +105,21 @@ class TestCompare:
         assert hits / total >= 0.95
 
 
+class TestClosureBeyondPaperStates:
+    """Criterion 8's gate on states the paper does not tabulate, every
+    convergent order including the edge J = 3 + l."""
+
+    @pytest.mark.parametrize("n,l,direction", [(3, 0, "plus"), (3, 1, "plus"), (3, 1, "minus"),
+                                               (3, 2, "plus"), (3, 2, "minus"),
+                                               (4, 3, "plus"), (4, 3, "minus")])
+    def test_totals_close_on_constructive_values(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        for J in range(-4, max_convergent_order(st) + 1):
+            row = compare(st, ch, J, SPEC)
+            gap = abs(row.total - float(row.constructive))
+            assert gap <= max(2e-4, row.estimated_error), (J, gap, row.estimated_error)
+
+
 class TestContour:
     def test_residues_match_discrete_terms(self):
         for J in (0, 1, 2, 3):
