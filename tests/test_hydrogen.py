@@ -189,6 +189,17 @@ class TestContinuumWaves:
         with pytest.raises(ChannelMismatch):
             bound_free_z2(bound_state(1, 0), continuum_wave(0, 1.0, WaveSpec(rho_max=40.0)))
 
+    def test_reduced_route_matches_direct(self):
+        """The direct Numerov route on a long grid agrees with the closed form
+        at the (state, l', q) points of the former q^2-reduced route."""
+        spec = WaveSpec(rho_max=90.0)
+        for st, direction, q in [(bound_state(2, 0), "plus", 2.0), (bound_state(2, 1), "minus", 3.0),
+                                 (bound_state(2, 1), "plus", 1.5)]:
+            ch = channel(direction, st.l)
+            a = bound_free_z2(st, continuum_wave(ch.target_l, q, spec))
+            b = float(bound_free_z2_closed(st, ch, q))
+            assert b == pytest.approx(a, rel=1e-6)
+
 
 def _coulombf_amplitude(state, lp, q, panel=3.0, order=20):
     """sqrt(2/pi) int u(rho) rho F_lp(-1/q, q rho) drho with mpmath's Coulomb
@@ -214,7 +225,7 @@ class TestBoundFreeClosedForm:
 
     @pytest.mark.parametrize("l,direction,q", [
         (l, d, q) for l, d in [(0, "plus"), (1, "plus"), (1, "minus")] for q in (0.1, 0.5, 2.0)
-    ] + [(1, "minus", 3.0), (1, "plus", 1.5)])
+    ])
     def test_matches_numerov(self, l, direction, q):
         st, ch = bound_state(2, l), channel(direction, l)
         got = bound_free_z2(st, continuum_wave(ch.target_l, q, WaveSpec(rho_max=90.0)))
