@@ -399,10 +399,10 @@ def verify_equivalences(tol: float) -> list[dict]:
     return checks
 
 
-def verify_contour(tol: float, spec: QuadratureSpec) -> list[dict]:
+def verify_contour(tol: float) -> list[dict]:
     checks = []
     for J in range(4):
-        rep = contour_check(J, spec)
+        rep = contour_check(J)
         worst = max(abs(a - b) for _, a, b in rep.residue_rows)
         checks.append({"suite": "contour", "check": f"residues J={J} (n=2..10)",
                        "pass": worst <= 1e-6, "detail": f"worst |diff| {worst:.2e}"})
@@ -424,7 +424,7 @@ def run_verify(suite: str, tol: float, spec: QuadratureSpec) -> list[dict]:
     if suite in ("equivalences", "all"):
         checks += verify_equivalences(tol)
     if suite in ("contour", "all"):
-        checks += verify_contour(tol, spec)
+        checks += verify_contour(tol)
     return checks
 
 
@@ -461,7 +461,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all",
                    choices=["paper-tables", "identities", "equivalences", "contour", "all"])
     v.add_argument("--tol", type=float, default=2e-4)
-    v.add_argument("--nmax", type=int, default=2000)
+    v.add_argument("--nmax", type=int, default=2000,
+                   help="highest discrete level of the paper-tables suite; the contour "
+                        "suite uses a fixed quadrature and levels n = 2..10")
     v.add_argument("--format", default="text", choices=["text", "json"])
 
     m = sub.add_parser("matrix", help="single squared dipole matrix element")

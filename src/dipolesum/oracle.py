@@ -286,10 +286,11 @@ class ContourReport:
             and self.radius_stability <= 1e-8
 
 
-def contour_check(J: int, spec: QuadratureSpec = DEFAULT_SPEC,
-                  n_range: range = range(2, 11)) -> ContourReport:
+def contour_check(J: int, n_range: range = range(2, 11)) -> ContourReport:
     """Residues at v = 1/n against discrete terms, and the imaginary-axis
-    line integral against the continuum integral over the same q range."""
+    line integral against the continuum integral over the same q range.
+
+    The continuum reference uses a fixed quadrature: 64 panels of order 12."""
     if not 0 <= J <= 3:
         raise DivergentSumRule("contour check covers J = 0..3")
     rows = []

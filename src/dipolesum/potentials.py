@@ -20,7 +20,9 @@ origin behaviour and one policy covers every potential kind.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from fractions import Fraction
 from typing import Callable
 
@@ -139,52 +141,69 @@ class GridFunction:
         return float(coeffs[0])
 
 
-def _numerov_sweep(fcoef: np.ndarray, w0: float, w1: float) -> tuple[np.ndarray, int]:
-    """Forward Numerov recurrence; returns solution and node count.
+# Numerov steps per block of the node-count kernel.  On the default grid of
+# 8192 points, 32 balances the per-step array operations against the
+# per-block chain loop.
+_BLOCK = 32
 
-    fcoef[i] = 1 - (h^2/12) W_i for w'' = W w on a uniform grid.
-    Rescales when values grow past 1e250 (only the shape matters).  A node
-    is a strict sign change between neighbours, tested by comparing signs:
-    their product overflows once both pass about 1e154.
+
+def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float) -> np.ndarray:
+    """W-array for the log-grid equation w'' = [rho^2 Wu(rho) + 1/4] w.
+
+    veff = l(l+1)/rho^2 + 2 v0(rho) is the energy-independent part of Wu.
     """
-    n = len(fcoef)
-    w = np.empty(n)
-    w[0], w[1] = w0, w1
-    nodes = 0
-    flist = fcoef.tolist()
-    fprev = flist[0]
-    fcur = flist[1]
-    wp, wc = w0, w1
-    for i in range(2, n):
-        fnext = flist[i]
-        wn = ((12.0 - 10.0 * fcur) * wc - fprev * wp) / fnext
-        if wn < 0.0 < wc or wc < 0.0 < wn:
-            nodes += 1
-        if abs(wn) > 1e250:
-            scale = 1e-200
-            wn *= scale
-            wc *= scale
-            w[: i] *= scale
-        w[i] = wn
-        wp, wc = wc, wn
-        fprev, fcur = fcur, fnext
-    return w, nodes
+    return rho2 * (veff - 2.0 * energy) + 0.25
 
 
-def _log_grid_w(v0: Potential, l: int, energy: float, x: np.ndarray) -> np.ndarray:
-    """W-array for the log-grid equation w'' = [rho^2 Wu(rho) + 1/4] w."""
-    rho = np.exp(x)
-    wu = l * (l + 1) / rho**2 + 2.0 * v0.v(rho) - 2.0 * energy
-    return rho**2 * wu + 0.25
+def _block_solutions(f: np.ndarray) -> np.ndarray:
+    """Fundamental Numerov solutions of every block of _BLOCK steps.
+
+    Block k starts at grid point _BLOCK * k and covers _BLOCK + 2 points, so
+    neighbouring blocks overlap by two.  sol[j, 0, k] and sol[j, 1, k] are
+    the solutions at point _BLOCK * k + j started from (1, 0) and (0, 1).
+    All blocks advance together, one array operation per step.
+    """
+    nb = -(-len(f) // _BLOCK)
+    fpad = np.ones(nb * _BLOCK + 2)   # f = 1 (W = 0) fills the last block
+    fpad[: len(f)] = f
+    fb = np.lib.stride_tricks.sliding_window_view(fpad, _BLOCK + 2)[::_BLOCK].T.copy()
+    gb = 12.0 - 10.0 * fb
+    sol = np.zeros((_BLOCK + 2, 2, nb))
+    sol[0, 0] = 1.0
+    sol[1, 1] = 1.0
+    for j in range(2, _BLOCK + 2):
+        sol[j] = (gb[j - 1] * sol[j - 1] - fb[j - 2] * sol[j - 2]) / fb[j]
+    return sol
 
 
-def _count_nodes(v0: Potential, l: int, energy: float, x: np.ndarray, hx: float) -> int:
-    big_w = _log_grid_w(v0, l, energy, x)
-    f = 1.0 - (hx * hx / 12.0) * big_w
-    s = l + 0.5
-    w0 = math.exp(s * (x[0] - x[1]))
-    _, nodes = _numerov_sweep(f, w0, 1.0)
-    return nodes
+def _count_nodes(rho2: np.ndarray, veff: np.ndarray, energy: float, hx: float,
+                 w0: float) -> int:
+    """Strict sign changes of the forward Numerov solution started from (w0, 1).
+
+    With f = 1 - (h^2/12) W the recurrence is
+    w[i] = ((12 - 10 f[i-1]) w[i-1] - f[i-2] w[i-2]) / f[i].  A short loop
+    chains the blocks of _block_solutions through their end values,
+    renormalised by powers of two.  Each rebuilt block is then a positive
+    multiple of the true w, so its signs, and hence the node count, are those
+    of a sequential sweep.
+    """
+    n = len(rho2)
+    sol = _block_solutions(1.0 - (hx * hx / 12.0) * _log_grid_w(rho2, veff, energy))
+    a, b = w0, 1.0
+    start_a, start_b = [], []
+    for p0, q0, p1, q1 in zip(*sol[_BLOCK].tolist(), *sol[_BLOCK + 1].tolist()):
+        e = -math.frexp(a if abs(a) > abs(b) else b)[1]
+        a, b = math.ldexp(a, e), math.ldexp(b, e)
+        start_a.append(a)
+        start_b.append(b)
+        a, b = a * p0 + b * q0, a * p1 + b * q1
+    w = sol[:_BLOCK, 0] * start_a
+    w += sol[:_BLOCK, 1] * start_b
+    sign = np.sign(w, out=w)   # sign[j, k] is the sign of w at _BLOCK * k + j
+    sign[n - _BLOCK * (sign.shape[1] - 1) :, -1] = 0.0   # padding past the grid end
+    within = np.count_nonzero(sign[1:] * sign[:-1] < 0.0)
+    across = np.count_nonzero(sign[0, 1:] * sign[-1, :-1] < 0.0)
+    return int(within + across)
 
 
 def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
@@ -199,17 +218,34 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
         e_guess = 3.0 * (nodes + l + 2) ** (2 * g / (g + 2.0)) / g + 2.0
         rt = (abs(g * e_guess)) ** (1.0 / g) if g > 0 else 10.0
         return 3.0 * rt + 12.0
-    return 2.0 * (nodes + l + 1) ** 2 + 40.0
+    # g < 0: v0 = -rho^-a / a with a = -g in (0, 2).  For a > 1 the levels
+    # crowd towards 0 much faster than Coulomb's, so the extent follows the
+    # tail: the turning point of a Bohr-like WKB energy (exact at a = 1) plus
+    # 30 decay lengths 1/sqrt(2|E|).  2 n^2 + 40 still covers the low levels
+    # and a < 1, where v0 stays comparable to E far beyond the turning point.
+    a = -g
+    n = nodes + 0.5 + (l + 0.5) / (2.0 - a)
+    # int_0^1 sqrt(t^-a - 1) dt, the WKB phase integral in turning-point units
+    phase = math.gamma(1.0 / a - 0.5) * math.gamma(1.5) / (a * math.gamma(1.0 / a + 1.0))
+    scale = math.sqrt(2.0) * a ** (-1.0 / a) * phase / (math.pi * n)
+    log_abs_e = 2.0 * a / (2.0 - a) * math.log(scale)
+    try:
+        turning = math.exp(-(math.log(a) + log_abs_e) / a)
+        decay = math.exp(-0.5 * (math.log(2.0) + log_abs_e))
+    except OverflowError:
+        raise NoBoundState("level too shallow for any float grid") from None
+    return max(2.0 * (nodes + l + 1) ** 2 + 40.0, turning + 30.0 * decay)
 
 
-def _match_defect(v0, l, energy, x, hx):
+def _match_defect(rho2, veff, energy, hx, w0):
     """Log-derivative mismatch at the outermost turning point.
 
-    Returns (defect, assembled w, node count, match index).
+    Returns (defect, assembled w, node count, match index).  The outward and
+    inward Numerov loops run on Python floats read through tolist().
     """
-    big_w = _log_grid_w(v0, l, energy, x)
-    f = 1.0 - (hx * hx / 12.0) * big_w
-    n = len(x)
+    big_w = _log_grid_w(rho2, veff, energy)
+    f = (1.0 - (hx * hx / 12.0) * big_w).tolist()
+    n = len(f)
     sign_change = np.nonzero(np.diff(np.signbit(big_w)))[0]
     if len(sign_change) == 0:
         raise NoBoundState(f"no classical region for energy {energy}")
@@ -217,35 +253,43 @@ def _match_defect(v0, l, energy, x, hx):
     if m < 4 or m > n - 4:
         raise NoBoundState("turning point too close to the grid edge")
 
-    s = l + 0.5
-    w0 = math.exp(s * (x[0] - x[1]))
-    wout = np.empty(n)
+    # w goes into preallocated float arrays and f is read through islice:
+    # growing or sliced buffers would add about a megabyte of peak memory
+    wout = array("d", bytes(8 * (m + 2)))
     wout[0], wout[1] = w0, 1.0
     nodes = 0
-    for i in range(2, m + 2):
-        wout[i] = ((12.0 - 10.0 * f[i - 1]) * wout[i - 1] - f[i - 2] * wout[i - 2]) / f[i]
-        if wout[i] * wout[i - 1] < 0.0:
+    wp, wc = w0, 1.0
+    for i, fp, fc, fn in zip(range(2, m + 2), f, islice(f, 1, None), islice(f, 2, None)):
+        wn = ((12.0 - 10.0 * fc) * wc - fp * wp) / fn
+        wout[i] = wn
+        if wn * wc < 0.0:
             nodes += 1
+        wp, wc = wc, wn
 
-    win = np.empty(n)
+    # inward from the last point, into win[k] = w[m-1+k]
     kappa = math.sqrt(max(big_w[-1], 1.0))
-    win[-1] = 1e-280
-    win[-2] = win[-1] * math.exp(kappa * hx)
-    for i in range(n - 3, m - 2, -1):
-        win[i] = ((12.0 - 10.0 * f[i + 1]) * win[i + 1] - f[i + 2] * win[i + 2]) / f[i]
-        if abs(win[i]) > 1e250:
-            win[i:] *= 1e-200
-        if win[i] * win[i + 1] < 0.0:
+    win = array("d", bytes(8 * (n - m + 1)))
+    wp = win[-1] = 1e-280
+    wc = win[-2] = wp * math.exp(kappa * hx)
+    for k, fp, fc, fn in zip(range(n - m - 2, -1, -1), reversed(f),
+                             islice(reversed(f), 1, None), islice(reversed(f), 2, None)):
+        wn = ((12.0 - 10.0 * fc) * wc - fp * wp) / fn
+        win[k] = wn
+        if abs(wn) > 1e250:
+            win[k:] = array("d", [v * 1e-200 for v in win[k:]])
+            wc, wn = win[k + 1], win[k]
+        if wn * wc < 0.0:
             nodes += 1
+        wp, wc = wc, wn
+    del f   # the float list is four times the size of w: free it before assembling w
 
-    if wout[m] == 0.0 or win[m] == 0.0:
+    if wout[m] == 0.0 or win[1] == 0.0:
         return math.inf, None, nodes, m
-    scale = wout[m] / win[m]
-    win_scaled = win * scale
+    scale = wout[m] / win[1]
     dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
-    din = (win_scaled[m + 1] - win_scaled[m - 1]) / (2 * hx)
+    din = (win[2] * scale - win[0] * scale) / (2 * hx)
     defect = (dout - din) / max(abs(wout[m]), 1e-300)
-    w = np.concatenate([wout[: m + 1], win_scaled[m + 1 :]])
+    w = np.concatenate([wout[: m + 1], np.array(win[2:]) * scale])
     return defect, w, nodes, m
 
 
@@ -268,10 +312,14 @@ def solve_bound(
     for _attempt in range(3):
         x = np.linspace(math.log(rho_min), math.log(rho_max), n_points)
         hx = x[1] - x[0]
+        rho = np.exp(x)
+        rho2 = rho**2
+        veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
+        w0 = math.exp((l + 0.5) * (x[0] - x[1]))
 
         e_lo = -1.0
         for _ in range(80):
-            if _count_nodes(v0, l, e_lo, x, hx) <= nodes:
+            if _count_nodes(rho2, veff, e_lo, hx, w0) <= nodes:
                 break
             e_lo *= 2.0
         else:
@@ -281,7 +329,7 @@ def solve_bound(
         for _ in range(200):
             e_hi += step
             step *= 1.5
-            if _count_nodes(v0, l, e_hi, x, hx) > nodes:
+            if _count_nodes(rho2, veff, e_hi, hx, w0) > nodes:
                 break
             if v0.kind == "coulomb" and e_hi > 0.0:
                 raise NoBoundState("requested state above the continuum threshold")
@@ -291,7 +339,7 @@ def solve_bound(
         # node-count bisection: localize the jump nodes -> nodes+1
         for _ in range(64):
             e_mid = 0.5 * (e_lo + e_hi)
-            if _count_nodes(v0, l, e_mid, x, hx) <= nodes:
+            if _count_nodes(rho2, veff, e_mid, hx, w0) <= nodes:
                 e_lo = e_mid
             else:
                 e_hi = e_mid
@@ -300,8 +348,8 @@ def solve_bound(
 
         # secant refinement on the matching defect inside the bracket
         ea, eb = e_lo, e_hi
-        fa, w, nd, m = _match_defect(v0, l, ea, x, hx)
-        fb = _match_defect(v0, l, eb, x, hx)[0]
+        fa, w, nd, m = _match_defect(rho2, veff, ea, hx, w0)
+        fb = _match_defect(rho2, veff, eb, hx, w0)[0]
         energy = ea
         for _ in range(80):
             if fb == fa:
@@ -309,7 +357,7 @@ def solve_bound(
             e_new = eb - fb * (eb - ea) / (fb - fa)
             if not (e_lo - (e_hi - e_lo) <= e_new <= e_hi + (e_hi - e_lo)):
                 e_new = 0.5 * (ea + eb)
-            f_new, w, nd, m = _match_defect(v0, l, e_new, x, hx)
+            f_new, w, nd, m = _match_defect(rho2, veff, e_new, hx, w0)
             ea, fa, eb, fb = eb, fb, e_new, f_new
             energy = e_new
             if abs(eb - ea) < rel_tol * max(abs(energy), 1e-9):
@@ -317,7 +365,6 @@ def solve_bound(
         else:
             raise NotConverged("eigenvalue refinement did not converge")
 
-        rho = np.exp(x)
         u = w * np.sqrt(rho)
         norm2 = simpson(u * u * rho, x=x)
         u /= math.sqrt(norm2)

@@ -239,7 +239,7 @@ def test_criterion_8_ratio_limit_as_stated():
 def test_criterion_9_contour_unification():
     """Residues equal discrete terms; line integral equals the continuum."""
     for J in range(0, 4):
-        rep = contour_check(J, SPEC)
+        rep = contour_check(J)
         for n, circle, term in rep.residue_rows:
             assert abs(circle - term) <= 1e-6, (J, n)
         assert abs(rep.line_integral - rep.continuum_reference) <= 1e-6

@@ -21,6 +21,7 @@ from dipolesum.errors import (
     QuadratureNotConverged,
 )
 from dipolesum.hydrogen import bound_bound_z2, bound_state, channel
+from dipolesum.potentials import power_law, solve_bound
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +176,13 @@ class TestPotentialCommand:
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "nodes: 3" in proc.stdout
+
+    def test_steep_negative_power_excited_level(self, capsys):
+        code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=-3/2", "--nodes", "1",
+                               "--format", "json")
+        assert code == 0
+        wide = solve_bound(power_law(Fraction(-3, 2)), 0, 1, rho_max=300.0)
+        assert json.loads(out)["energy"] == pytest.approx(wide.energy, rel=1e-9)
 
 
 class TestConfigFile:

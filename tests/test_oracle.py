@@ -123,7 +123,7 @@ class TestClosureBeyondPaperStates:
 class TestContour:
     def test_residues_match_discrete_terms(self):
         for J in (0, 1, 2, 3):
-            rep = contour_check(J, SPEC)
+            rep = contour_check(J)
             for n, circle, term in rep.residue_rows:
                 assert circle == pytest.approx(term, abs=1e-6)
 
@@ -134,12 +134,12 @@ class TestContour:
 
     def test_line_integral_equals_continuum(self):
         for J in (0, 3):
-            rep = contour_check(J, SPEC)
+            rep = contour_check(J)
             assert rep.line_integral == pytest.approx(rep.continuum_reference, abs=1e-6)
             assert rep.passed
 
     def test_order_zero_line_value(self):
-        rep = contour_check(0, SPEC)
+        rep = contour_check(0)
         assert rep.line_integral == pytest.approx(0.283412, abs=1e-4)
 
     def test_radius_halving_stability(self):
