@@ -314,7 +314,7 @@ def verify_paper_tables(tol: float, spec: QuadratureSpec) -> list[dict]:
     return checks
 
 
-def verify_identities(tol: float) -> list[dict]:
+def verify_identities() -> list[dict]:
     checks = []
     # virial on exact states
     for (n, l) in [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
@@ -362,7 +362,7 @@ def verify_identities(tol: float) -> list[dict]:
     return checks
 
 
-def verify_equivalences(tol: float) -> list[dict]:
+def verify_equivalences() -> list[dict]:
     checks = []
     for n, l, direction, J in [(2, 0, "plus", 3), (1, 0, "plus", 3),
                                (2, 1, "plus", 4), (2, 1, "minus", 4),
@@ -399,7 +399,7 @@ def verify_equivalences(tol: float) -> list[dict]:
     return checks
 
 
-def verify_contour(tol: float) -> list[dict]:
+def verify_contour() -> list[dict]:
     checks = []
     for J in range(4):
         rep = contour_check(J)
@@ -420,11 +420,11 @@ def run_verify(suite: str, tol: float, spec: QuadratureSpec) -> list[dict]:
     if suite in ("paper-tables", "all"):
         checks += verify_paper_tables(tol, spec)
     if suite in ("identities", "all"):
-        checks += verify_identities(tol)
+        checks += verify_identities()
     if suite in ("equivalences", "all"):
-        checks += verify_equivalences(tol)
+        checks += verify_equivalences()
     if suite in ("contour", "all"):
-        checks += verify_contour(tol)
+        checks += verify_contour()
     return checks
 
 
@@ -460,7 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--suite", default="all",
                    choices=["paper-tables", "identities", "equivalences", "contour", "all"])
-    v.add_argument("--tol", type=float, default=2e-4)
+    v.add_argument("--tol", type=float,
+                   help="gate of the paper-tables suite (default 2e-4); the other suites "
+                        "have fixed gates and reject it")
     v.add_argument("--nmax", type=int, default=2000,
                    help="highest discrete level of the paper-tables suite; the contour "
                         "suite uses a fixed quadrature and levels n = 2..10")
@@ -562,8 +564,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.tol is not None and args.suite not in ("paper-tables", "all"):
+        return _usage_error(f"--tol sets the paper-tables gate; the {args.suite} suite "
+                            "has fixed gates")
     spec = QuadratureSpec(n_max=args.nmax)
-    checks = run_verify(args.suite, args.tol, spec)
+    checks = run_verify(args.suite, 2e-4 if args.tol is None else args.tol, spec)
     if args.format == "json":
         json.dump(checks, sys.stdout, indent=2)
         print()

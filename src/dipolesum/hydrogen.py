@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import exactalg as xa
 from .errors import (
@@ -35,6 +34,7 @@ from .errors import (
     NonPositiveQ,
 )
 from .exactalg import PolyExp
+from .integrate import simpson
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from . import exactalg as xa
 from .errors import QuadratureNotConverged
 from .exactalg import PolyExp
 from .hydrogen import BoundState, Channel, bound_state
+from .integrate import cumulative_simpson, simpson
 from .potentials import COULOMB
 
 

@@ -26,8 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
-from .errors import DivergentSumRule, QuadratureNotConverged
+from .errors import DivergentSumRule, InvalidOrder, QuadratureNotConverged
 from .hydrogen import (
     BoundState,
     Channel,
@@ -125,7 +126,7 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        _GAUSS_CACHE[order] = leggauss(order)
     return _GAUSS_CACHE[order]
 
 
@@ -222,7 +223,7 @@ def compare(state: BoundState, chan: Channel, J: int,
     if 0 <= J <= 4 and (state.l == 0 or chan.direction == "total"):
         try:
             closed = closed_form_coulomb(state.n, state.l, J)
-        except Exception:
+        except InvalidOrder:
             closed = None
     return SumRuleValue(
         state=(state.n, state.l),

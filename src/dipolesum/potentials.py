@@ -27,13 +27,14 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
+from numpy.polynomial.polynomial import polyfit
 
 from .errors import (
     NoBoundState,
     NotConverged,
     SingularDerivative,
 )
+from .integrate import simpson
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ class GridFunction:
         hi = max(hi, 8)
         r = rho[2:hi]
         y = self.values[2:hi] / r ** (self.l + 1)
-        coeffs = np.polynomial.polynomial.polyfit(r, y, 2)
+        coeffs = polyfit(r, y, 2)
         return float(coeffs[0])
 
 
@@ -147,63 +148,92 @@ class GridFunction:
 _BLOCK = 32
 
 
-def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float) -> np.ndarray:
+def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """W-array for the log-grid equation w'' = [rho^2 Wu(rho) + 1/4] w.
 
     veff = l(l+1)/rho^2 + 2 v0(rho) is the energy-independent part of Wu.
+    The result goes into out when it is given.
     """
-    return rho2 * (veff - 2.0 * energy) + 0.25
+    out = np.subtract(veff, 2.0 * energy, out=out)
+    np.multiply(rho2, out, out=out)
+    return np.add(out, 0.25, out=out)
 
 
-def _block_solutions(f: np.ndarray) -> np.ndarray:
-    """Fundamental Numerov solutions of every block of _BLOCK steps.
-
-    Block k starts at grid point _BLOCK * k and covers _BLOCK + 2 points, so
-    neighbouring blocks overlap by two.  sol[j, 0, k] and sol[j, 1, k] are
-    the solutions at point _BLOCK * k + j started from (1, 0) and (0, 1).
-    All blocks advance together, one array operation per step.
-    """
-    nb = -(-len(f) // _BLOCK)
-    fpad = np.ones(nb * _BLOCK + 2)   # f = 1 (W = 0) fills the last block
-    fpad[: len(f)] = f
-    fb = np.lib.stride_tricks.sliding_window_view(fpad, _BLOCK + 2)[::_BLOCK].T.copy()
-    gb = 12.0 - 10.0 * fb
-    sol = np.zeros((_BLOCK + 2, 2, nb))
-    sol[0, 0] = 1.0
-    sol[1, 1] = 1.0
-    for j in range(2, _BLOCK + 2):
-        sol[j] = (gb[j - 1] * sol[j - 1] - fb[j - 2] * sol[j - 2]) / fb[j]
-    return sol
-
-
-def _count_nodes(rho2: np.ndarray, veff: np.ndarray, energy: float, hx: float,
-                 w0: float) -> int:
-    """Strict sign changes of the forward Numerov solution started from (w0, 1).
+class _NodeCounter:
+    """Node counts on one grid: strict sign changes of the forward Numerov
+    solution started from (w0, 1), energy by energy.
 
     With f = 1 - (h^2/12) W the recurrence is
-    w[i] = ((12 - 10 f[i-1]) w[i-1] - f[i-2] w[i-2]) / f[i].  A short loop
-    chains the blocks of _block_solutions through their end values,
-    renormalised by powers of two.  Each rebuilt block is then a positive
+    w[i] = ((12 - 10 f[i-1]) w[i-1] - f[i-2] w[i-2]) / f[i].  The grid is cut
+    into blocks of _BLOCK steps: block k starts at grid point _BLOCK * k and
+    covers _BLOCK + 2 points, so neighbouring blocks overlap by two.  All
+    blocks advance together, one array operation per step, from the starts
+    (1, 0) and (0, 1).  A short loop then chains the blocks through their end
+    values, renormalised by powers of two.  Each rebuilt block is a positive
     multiple of the true w, so its signs, and hence the node count, are those
     of a sequential sweep.
+
+    The work arrays, about half a megabyte on the default grid, are allocated
+    once per grid and every count writes into them: allocated per count, the
+    allocator handed them back to the system each time and the next count
+    page-faulted them in again.
     """
-    n = len(rho2)
-    sol = _block_solutions(1.0 - (hx * hx / 12.0) * _log_grid_w(rho2, veff, energy))
-    a, b = w0, 1.0
-    start_a, start_b = [], []
-    for p0, q0, p1, q1 in zip(*sol[_BLOCK].tolist(), *sol[_BLOCK + 1].tolist()):
-        e = -math.frexp(a if abs(a) > abs(b) else b)[1]
-        a, b = math.ldexp(a, e), math.ldexp(b, e)
-        start_a.append(a)
-        start_b.append(b)
-        a, b = a * p0 + b * q0, a * p1 + b * q1
-    w = sol[:_BLOCK, 0] * start_a
-    w += sol[:_BLOCK, 1] * start_b
-    sign = np.sign(w, out=w)   # sign[j, k] is the sign of w at _BLOCK * k + j
-    sign[n - _BLOCK * (sign.shape[1] - 1) :, -1] = 0.0   # padding past the grid end
-    within = np.count_nonzero(sign[1:] * sign[:-1] < 0.0)
-    across = np.count_nonzero(sign[0, 1:] * sign[-1, :-1] < 0.0)
-    return int(within + across)
+
+    def __init__(self, rho2: np.ndarray, veff: np.ndarray, hx: float, w0: float):
+        self.rho2, self.veff, self.w0 = rho2, veff, w0
+        self.scale = hx * hx / 12.0
+        self.n = len(rho2)
+        nb = -(-self.n // _BLOCK)
+        self.fpad = np.ones(nb * _BLOCK + 2)   # f = 1 (W = 0) fills the last block
+        # fb[j, k] = f at _BLOCK * k + j; a contiguous copy of the windows
+        # keeps the per-step rows fast
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.fpad, _BLOCK + 2)[::_BLOCK].T
+        self.fb = np.empty((_BLOCK + 2, nb))
+        self.gb = np.empty_like(self.fb)
+        # sol[j, 0, k] and sol[j, 1, k]: the block solutions at _BLOCK * k + j
+        self.sol = np.zeros((_BLOCK + 2, 2, nb))
+        self.sol[0, 0] = 1.0
+        self.sol[1, 1] = 1.0
+        self.terms = np.empty((2, 2, nb))
+        self.w = np.empty((_BLOCK, nb))
+        self.prod = np.empty((_BLOCK, nb))
+        self.negative = np.empty((_BLOCK - 1, nb), dtype=bool)
+
+    def count(self, energy: float) -> int:
+        f = self.fpad[: self.n]
+        _log_grid_w(self.rho2, self.veff, energy, out=f)
+        np.multiply(self.scale, f, out=f)
+        np.subtract(1.0, f, out=f)
+        fb, gb, sol = self.fb, self.gb, self.sol
+        np.copyto(fb, self.windows)
+        np.multiply(10.0, fb, out=gb)
+        np.subtract(12.0, gb, out=gb)
+        t0, t1 = self.terms
+        for j in range(2, _BLOCK + 2):
+            np.multiply(gb[j - 1], sol[j - 1], out=t0)
+            np.multiply(fb[j - 2], sol[j - 2], out=t1)
+            np.subtract(t0, t1, out=t0)
+            np.divide(t0, fb[j], out=sol[j])
+
+        a, b = self.w0, 1.0
+        start_a, start_b = [], []
+        for p0, q0, p1, q1 in zip(*sol[_BLOCK].tolist(), *sol[_BLOCK + 1].tolist()):
+            e = -math.frexp(a if abs(a) > abs(b) else b)[1]
+            a, b = math.ldexp(a, e), math.ldexp(b, e)
+            start_a.append(a)
+            start_b.append(b)
+            a, b = a * p0 + b * q0, a * p1 + b * q1
+        w, prod = self.w, self.prod
+        np.multiply(sol[:_BLOCK, 0], start_a, out=w)
+        np.multiply(sol[:_BLOCK, 1], start_b, out=prod)
+        w += prod
+        sign = np.sign(w, out=w)   # sign[j, k] is the sign of w at _BLOCK * k + j
+        sign[self.n - _BLOCK * (sign.shape[1] - 1) :, -1] = 0.0   # padding past the grid end
+        np.multiply(sign[1:], sign[:-1], out=prod[1:])
+        within = np.count_nonzero(np.less(prod[1:], 0.0, out=self.negative))
+        across = np.count_nonzero(sign[0, 1:] * sign[-1, :-1] < 0.0)
+        return int(within + across)
 
 
 def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
@@ -316,10 +346,11 @@ def solve_bound(
         rho2 = rho**2
         veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
+        counter = _NodeCounter(rho2, veff, hx, w0)
 
         e_lo = -1.0
         for _ in range(80):
-            if _count_nodes(rho2, veff, e_lo, hx, w0) <= nodes:
+            if counter.count(e_lo) <= nodes:
                 break
             e_lo *= 2.0
         else:
@@ -329,7 +360,7 @@ def solve_bound(
         for _ in range(200):
             e_hi += step
             step *= 1.5
-            if _count_nodes(rho2, veff, e_hi, hx, w0) > nodes:
+            if counter.count(e_hi) > nodes:
                 break
             if v0.kind == "coulomb" and e_hi > 0.0:
                 raise NoBoundState("requested state above the continuum threshold")
@@ -339,7 +370,7 @@ def solve_bound(
         # node-count bisection: localize the jump nodes -> nodes+1
         for _ in range(64):
             e_mid = 0.5 * (e_lo + e_hi)
-            if _count_nodes(rho2, veff, e_mid, hx, w0) <= nodes:
+            if counter.count(e_mid) <= nodes:
                 e_lo = e_mid
             else:
                 e_hi = e_mid

@@ -23,6 +23,7 @@ import numpy as np
 from . import exactalg as xa
 from . import potentials as pots
 from .errors import (
+    DivergentAtOrigin,
     DivergentExpectation,
     InvalidOrder,
     NonPositiveScale,
@@ -175,16 +176,27 @@ def closed_form_power_law(state: GridFunction, v0: Potential, J: int) -> float:
     if J == 2:
         return 4.0 * kappa * grid_expectation(state, lambda r: r**g)
     if J == 3:
-        expv = grid_expectation(state, lambda r: r ** (g - 2.0))
-        if not math.isfinite(expv):
-            raise DivergentExpectation("<rho^(gamma-2)> does not exist")
+        expv = _power_moment(state, v0.gamma - 2, g - 2.0, "<rho^(gamma-2)>")
         return 4.0 * (kappa * (g - 2.0) + 1.0) * expv
     if J == 4:
-        expv = grid_expectation(state, lambda r: r ** (2.0 * g - 2.0))
-        if not math.isfinite(expv):
-            raise DivergentExpectation("<rho^(2 gamma - 2)> does not exist")
-        return 16.0 * kappa * expv
+        return 16.0 * kappa * _power_moment(state, 2 * v0.gamma - 2, 2.0 * g - 2.0,
+                                            "<rho^(2 gamma - 2)>")
     raise InvalidOrder("power-law closed forms cover J = 0..4")
+
+
+def _power_moment(state: GridFunction, p: Fraction, p_float: float, name: str) -> float:
+    """Grid <rho^p_float>, p_float being the float form of the exponent p.
+
+    u ~ rho^(l+1) at the origin, so <rho^p> exists iff p > -(2l+3).  The rule
+    is applied to the exact p: a grid that starts at rho_min > 0 returns a
+    finite sum for a divergent moment too.
+    """
+    if p <= -(2 * state.l + 3):
+        raise DivergentExpectation(f"{name} does not exist")
+    expv = grid_expectation(state, lambda r: r**p_float)
+    if not math.isfinite(expv):
+        raise DivergentExpectation(f"{name} does not exist")
+    return expv
 
 
 def virial_s2(state: GridFunction, v0: Potential) -> float:
@@ -458,7 +470,7 @@ def equivalence_suite(fam: LadderFamily, J: int) -> EquivalenceReport:
         k = J - j
         try:
             ov = fam.pair_overlap(ladder_rung(fam, j), ladder_rung(fam, k))
-        except Exception:
+        except DivergentAtOrigin:
             ov = None
         entries.append(EquivalenceEntry(j=j, k=k, overlap=ov, wronskian=None))
     identities = []

@@ -228,6 +228,14 @@ class TestConfigFile:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("suite", ["identities", "equivalences", "contour"])
+    def test_tol_rejected_by_fixed_gate_suites(self, capsys, suite):
+        # these suites have fixed gates: a --tol they would ignore is a usage error
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--tol", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_equivalences_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "equivalences",
                                "--format", "json")

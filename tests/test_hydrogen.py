@@ -5,7 +5,6 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
 
 from dipolesum import exactalg as xa
 from dipolesum.errors import (
@@ -32,6 +31,7 @@ from dipolesum.hydrogen import (
     reference_expectation,
     z2_1s_to_np,
 )
+from dipolesum.integrate import simpson
 from dipolesum.potentials import COULOMB
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)

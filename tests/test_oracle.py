@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dipolesum.errors import DivergentSumRule
+from dipolesum import oracle
+from dipolesum.errors import DivergentSumRule, InvalidOrder
 from dipolesum.hydrogen import bound_state, channel, z2_1s_to_np
 from dipolesum.oracle import (
     QuadratureSpec,
@@ -89,6 +90,21 @@ class TestCompare:
         assert row.discrete == pytest.approx(1.982648, abs=2e-4)
         assert row.continuum == pytest.approx(0.116526, abs=2e-4)
         assert row.constructive == F(9673, 4608)
+
+    def test_closed_form_column_skips_invalid_order(self, monkeypatch):
+        def no_form(m, l, J):
+            raise InvalidOrder("no closed form")
+        monkeypatch.setattr(oracle, "closed_form_coulomb", no_form)
+        row = compare(bound_state(1, 0), channel("plus", 0), 2, SPEC)
+        assert row.closed_form is None
+        assert row.constructive == F(4, 3)
+
+    def test_unrelated_closed_form_error_propagates(self, monkeypatch):
+        def broken(m, l, J):
+            raise RuntimeError("not an order error")
+        monkeypatch.setattr(oracle, "closed_form_coulomb", broken)
+        with pytest.raises(RuntimeError, match="not an order error"):
+            compare(bound_state(1, 0), channel("plus", 0), 2, SPEC)
 
     def test_estimated_error_bounds_truth(self):
         # the error estimate should cover the actual deviation from exact

@@ -13,7 +13,7 @@ from dipolesum.potentials import (
     _BLOCK,
     COULOMB,
     LOG,
-    _count_nodes,
+    _NodeCounter,
     _default_rho_max,
     _log_grid_w,
     grid_expectation,
@@ -110,11 +110,14 @@ def _sequential_nodes(rho2, veff, energy, hx, w0):
     return nodes, rescaled
 
 
-def _counts(grid, energy):
-    """(kernel count, reference count, whether the reference rescaled)."""
+def _counts(grid, counter, energy):
+    """(kernel count, reference count, whether the reference rescaled).
+
+    One counter serves every energy on its grid, so a count that read work
+    arrays left over from an earlier energy would show here.
+    """
     rho2, veff, hx, w0 = grid
-    return (_count_nodes(rho2, veff, energy, hx, w0),
-            *_sequential_nodes(rho2, veff, energy, hx, w0))
+    return (counter.count(energy), *_sequential_nodes(rho2, veff, energy, hx, w0))
 
 
 class TestNodeCountKernel:
@@ -130,23 +133,25 @@ class TestNodeCountKernel:
         # the default gamma=1/2 grid for 7 nodes is too wide to bracket from e = -1
         rho_max = 150.0 if v0 == power_law(F(1, 2)) else _default_rho_max(v0, l, n_levels - 1)
         grid = _grid(v0, l, rho_max)
+        counter = _NodeCounter(*grid)
         levels = [solve_bound(v0, l, k, rho_max=rho_max).energy for k in range(n_levels)]
         for k, e in enumerate(levels):
             below, above = sorted([e * (1.0 - 1e-9), e * (1.0 + 1e-9)])
             # the pair straddles the jump from k to k+1 nodes
-            assert _counts(grid, below)[:2] == (k, k), e
-            assert _counts(grid, above)[:2] == (k + 1, k + 1), e
+            assert _counts(grid, counter, below)[:2] == (k, k), e
+            assert _counts(grid, counter, above)[:2] == (k + 1, k + 1), e
         for e in [0.5 * (a + b) for a, b in zip(levels, levels[1:])]:
-            got, want, _ = _counts(grid, e)
+            got, want, _ = _counts(grid, counter, e)
             assert got == want, e
 
     def test_grid_where_sequential_sweep_rescales(self):
         # the grid of `potential --potential gamma=1/2 --nodes 3`
         v0 = power_law(F(1, 2))
         grid = _grid(v0, 0, _default_rho_max(v0, 0, 3))
+        counter = _NodeCounter(*grid)
         rescaled = False
         for e in np.linspace(-1.0, 12.0, 27):
-            got, want, big = _counts(grid, e)
+            got, want, big = _counts(grid, counter, e)
             assert got == want, e
             rescaled |= big
         assert rescaled
@@ -154,8 +159,9 @@ class TestNodeCountKernel:
     @pytest.mark.parametrize("n_points", [8, _BLOCK - 1, _BLOCK + 5, 2 * _BLOCK - 1])
     def test_grids_of_fewer_than_two_blocks(self, n_points):
         grid = _grid(power_law(2), 0, 6.0, n_points=n_points, rho_min=1e-2)
+        counter = _NodeCounter(*grid)
         for e in np.linspace(-1.0, 40.0, 42):
-            got, want, _ = _counts(grid, e)
+            got, want, _ = _counts(grid, counter, e)
             assert got == want, e
 
 

@@ -1,5 +1,6 @@
 """Sum-rule assembly: constructive values, closed forms, identities, rates."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -116,6 +117,23 @@ class TestClosedForms:
         want_s4 = 16.0 / 3.0 * grid_expectation(oscillator, lambda r: r**2)
         assert closed_form_power_law(oscillator, v0, 4) == pytest.approx(want_s4, rel=1e-12)
 
+    @pytest.mark.parametrize("rho_min", [1e-4, 1e-6, 1e-8])
+    def test_power_law_divergent_moment(self, rho_min):
+        # <rho^(2 gamma - 2)> = <rho^-3> diverges for l = 0 however far in the
+        # grid starts; the grid sum alone stays finite
+        v0 = power_law(F(-1, 2))
+        st = solve_bound(v0, 0, 0, rho_min=rho_min)
+        with pytest.raises(DivergentExpectation):
+            closed_form_power_law(st, v0, 4)
+        assert math.isfinite(closed_form_power_law(st, v0, 3))   # <rho^-5/2> exists
+
+    def test_power_law_moment_edge_by_l(self):
+        # <rho^(gamma - 2)> = <rho^-7/2> exists for l = 1 (-7/2 > -5), not for l = 0
+        v0 = power_law(F(-3, 2))
+        with pytest.raises(DivergentExpectation):
+            closed_form_power_law(solve_bound(v0, 0, 0), v0, 3)
+        assert math.isfinite(closed_form_power_law(solve_bound(v0, 1, 0), v0, 3))
+
     def test_log_ratio(self):
         st = solve_bound(LOG, 0, 0)
         s3 = closed_form_power_law(st, LOG, 3)
@@ -222,6 +240,20 @@ class TestEquivalenceSuite:
         fam = build_f_ladder(bound_state(2, 1), channel("plus", 1), 4)
         with pytest.raises(InvalidOrder):
             equivalence_suite(fam, 5)
+
+    def test_divergent_pairings_recorded_as_none(self):
+        # every 1s pairing of order 4 has a non-integrable origin term
+        fam = build_f_ladder(bound_state(1, 0), channel("plus", 0), 4)
+        rep = equivalence_suite(fam, 4)
+        assert [e.overlap for e in rep.entries] == [None, None, None]
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        def broken(self, f, g):
+            raise RuntimeError("not a divergence")
+        fam = build_f_ladder(bound_state(2, 0), channel("plus", 0), 4)
+        monkeypatch.setattr(type(fam), "pair_overlap", broken)
+        with pytest.raises(RuntimeError, match="not a divergence"):
+            equivalence_suite(fam, 3)
 
 
 class TestMonotoneRatioLimit:
