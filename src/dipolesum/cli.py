@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -127,6 +126,8 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
                        spec: QuadratureSpec, tol: float) -> list[dict]:
+    """One row per (J, channel) from oracle.compare, gated on
+    |total - constructive| <= max(tol, estimated error)."""
     state = bound_state(n, l)
     rows = []
     for J in orders:
@@ -135,33 +136,12 @@ def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
                    "discrete": None, "continuum": None, "total": None,
                    "constructive": None, "closed_form": None, "pass": False}
             try:
-                if direction == "total":
-                    parts = [oracle.compare(state, channel(d, l), J, spec)
-                             for d in ("plus", "minus") if not (d == "minus" and l == 0)]
-                    row["discrete"] = math.fsum(p.discrete for p in parts)
-                    row["continuum"] = math.fsum(p.continuum for p in parts)
-                    cons = [p.constructive for p in parts]
-                    row["constructive"] = _frac_str(sum(cons)) if all(c is not None for c in cons) else None
-                    est = math.fsum(p.estimated_error for p in parts)
-                    cons_val = sum(cons) if all(c is not None for c in cons) else None
-                else:
-                    part = oracle.compare(state, channel(direction, l), J, spec)
-                    row["discrete"], row["continuum"] = part.discrete, part.continuum
-                    row["constructive"] = _frac_str(part.constructive)
-                    est = part.estimated_error
-                    cons_val = part.constructive
-                row["discrete"] = float(row["discrete"])
-                row["continuum"] = float(row["continuum"])
-                row["total"] = row["discrete"] + row["continuum"]
-                if 0 <= J <= 4 and (l == 0 or direction == "total"):
-                    try:
-                        row["closed_form"] = _frac_str(closed_form_coulomb(n, l, J))
-                    except DipoleSumError:
-                        pass
-                if cons_val is not None:
-                    row["pass"] = bool(abs(row["total"] - float(cons_val)) <= max(tol, est))
+                v = oracle.compare(state, direction, J, spec)
+                row.update(discrete=v.discrete, continuum=v.continuum, total=v.total,
+                           constructive=_frac_str(v.constructive),
+                           closed_form=_frac_str(v.closed_form))
+                row["pass"] = abs(v.total - float(v.constructive)) <= max(tol, v.estimated_error)
             except DivergentSumRule:
-                row["channel"] = direction
                 row["divergent"] = True
                 row["pass"] = True      # correctly reported divergent
             rows.append(row)
@@ -204,7 +184,7 @@ def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
         try:
             closed = closed_form_power_law(state, v0, J)
             row["reference"] = closed   # numeric expectation form, not exact
-            row["pass"] = abs(total - closed) <= max(tol, 1e-4)
+            row["pass"] = bool(abs(total - closed) <= max(tol, 1e-4))
         except DipoleSumError:
             row["pass"] = True
         rows.append(row)
@@ -281,12 +261,10 @@ def verify_paper_tables(tol: float, spec: QuadratureSpec) -> list[dict]:
     checks = []
     for (n, l, direction), table in REFERENCE_SPLITS.items():
         state = bound_state(n, l)
-        chan = channel(direction, l)
         split_tol = tol if (n, l) == (1, 0) or l == 0 else max(tol, 2e-3)
         for J, (ref_d, ref_c) in sorted(table.items()):
-            d = oracle.discrete_sum(state, chan, J, spec)
-            c = oracle.continuum_integral(state, chan, J, spec)
-            cons = float(constructive_value(n, l, direction, J))
+            row = oracle.compare(state, direction, J, spec)
+            d, c, cons = row.discrete, row.continuum, float(row.constructive)
             cell = max(split_tol, _print_tolerance(ref_d))
             checks.append({"suite": "paper-tables",
                            "check": f"{n}{'spdfg'[l]} {direction} J={J} discrete",
@@ -303,7 +281,7 @@ def verify_paper_tables(tol: float, spec: QuadratureSpec) -> list[dict]:
                            "detail": f"{d + c:.6f} vs exact {cons:.6f}"})
         top = max_convergent_order(state)
         try:
-            oracle.continuum_integral(state, chan, top + 1, spec)
+            oracle.compare(state, direction, top + 1, spec)
             checks.append({"suite": "paper-tables",
                            "check": f"{n}{'spdfg'[l]} {direction} J={top + 1} divergent",
                            "pass": False, "detail": "should have raised"})
@@ -551,8 +529,6 @@ def _cmd_table(args) -> int:
             channels = ["plus"] if l == 0 else ["plus", "minus", "total"]
         else:
             channels = [args.channel]
-        if l == 0 and args.channel in ("minus",):
-            return _usage_error("minus channel is forbidden for l = 0")
         rows = coulomb_table_rows(n, l, orders, channels, spec, args.tol)
     elif args.potential:
         v0 = _parse_potential(args.potential)

@@ -228,9 +228,29 @@ def greens_wronskian_residual(rho: np.ndarray) -> np.ndarray:
     return phi2(rho) * dphi1(rho) - phi1(rho) * dphi2(rho) + rho**-2
 
 
-def greens_negative_order(j: int, *, n_points: int = 8001,
-                          rho_lo: float = 1e-6, rho_hi: float = 60.0,
-                          check_tol: float = 1e-6) -> float:
+# Log grid of the kernel route: GREENS_POINTS points on [GREENS_RHO_LO,
+# GREENS_RHO_HI]; the every-other-point grid must agree to GREENS_CHECK_TOL.
+GREENS_POINTS = 8001
+GREENS_RHO_LO = 1e-6
+GREENS_RHO_HI = 60.0
+GREENS_CHECK_TOL = 1e-6
+
+
+def _kernel_value(t: np.ndarray, j: int) -> float:
+    """(1/3) int g_0 g_j rho^2 drho on the log grid t = log(rho)."""
+    rho = np.exp(t)
+    p1, p2 = phi1(rho), phi2(rho)
+    g0 = 2.0 * rho * np.exp(-rho)  # full radial seed: u = rho * g0 reduced
+    g = g0
+    for _ in range(j):
+        inner = cumulative_simpson(p2 * g * rho**3, x=t, initial=0.0)
+        outer_full = cumulative_simpson(p1 * g * rho**3, x=t, initial=0.0)
+        outer = outer_full[-1] - outer_full
+        g = p1 * inner + p2 * outer
+    return simpson(g0 * g * rho**3, x=t) / 3.0
+
+
+def greens_negative_order(j: int) -> float:
     """Numeric S_-j for the ground-state plus channel via iterated kernel
     quadrature on a log grid.
 
@@ -243,31 +263,10 @@ def greens_negative_order(j: int, *, n_points: int = 8001,
     """
     if j < 1:
         raise ValueError("negative order j >= 1")
-    t = np.linspace(math.log(rho_lo), math.log(rho_hi), n_points)
-    rho = np.exp(t)
-    p1, p2 = phi1(rho), phi2(rho)
-    g0 = 2.0 * rho * np.exp(-rho)  # full radial seed: u = rho * g0 reduced
-    g = g0
-    for _ in range(j):
-        inner = cumulative_simpson(p2 * g * rho**3, x=t, initial=0.0)
-        outer_full = cumulative_simpson(p1 * g * rho**3, x=t, initial=0.0)
-        outer = outer_full[-1] - outer_full
-        g = p1 * inner + p2 * outer
-    value = simpson(g0 * g * rho**3, x=t) / 3.0
-
-    step = 2
-    tc = t[::step]
-    rc = rho[::step]
-    gc = 2.0 * rc * np.exp(-rc)
-    p1c, p2c = phi1(rc), phi2(rc)
-    gg = gc
-    for _ in range(j):
-        inner = cumulative_simpson(p2c * gg * rc**3, x=tc, initial=0.0)
-        outer_full = cumulative_simpson(p1c * gg * rc**3, x=tc, initial=0.0)
-        outer = outer_full[-1] - outer_full
-        gg = p1c * inner + p2c * outer
-    coarse = simpson(gc * gg * rc**3, x=tc) / 3.0
-    if abs(coarse - value) > check_tol * max(1.0, abs(value)):
+    t = np.linspace(math.log(GREENS_RHO_LO), math.log(GREENS_RHO_HI), GREENS_POINTS)
+    value = _kernel_value(t, j)
+    coarse = _kernel_value(t[::2], j)
+    if abs(coarse - value) > GREENS_CHECK_TOL * max(1.0, abs(value)):
         raise QuadratureNotConverged(
             f"kernel quadrature for j={j}: refinement moved by {abs(coarse - value):.3g}"
         )

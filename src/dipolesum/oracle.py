@@ -41,16 +41,19 @@ from .hydrogen import (
 from .sumrules import SumRuleValue, closed_form_coulomb, constructive_value
 
 
+# Continuum quadrature: U_PANELS Gauss-Legendre panels of order GAUSS_ORDER,
+# doubled up to MAX_REFINEMENTS times until two passes agree to ABS_TOL.
+U_PANELS = 24
+GAUSS_ORDER = 10
+MAX_REFINEMENTS = 2
+ABS_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the brute-force evaluation."""
+    """Controls for the brute-force evaluation: the highest discrete level."""
 
     n_max: int = 2000
-    u_panels: int = 24
-    abs_tol: float = 1e-8
-    tail_extrapolation: bool = True
-    gauss_order: int = 10
-    max_refinements: int = 2
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -108,8 +111,6 @@ def discrete_sum(state: BoundState, chan: Channel, J: int,
 def _discrete_tail_estimate(state: BoundState, chan: Channel, J: int,
                             spec: QuadratureSpec) -> float:
     """Richardson-style n^-3 estimate of the truncated tail."""
-    if not spec.tail_extrapolation:
-        return 0.0
     table = _z2_table(state, chan, spec.n_max)
     n = spec.n_max
     ksq = 1.0 / state.n**2
@@ -179,28 +180,28 @@ def _continuum_channel(state: BoundState, chan: Channel) -> _ContinuumChannel:
 
 def continuum_integral(state: BoundState, chan: Channel, J: int,
                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    value, _ = continuum_integral_with_error(state, chan, J, spec)
+    """Continuum part of S_J (fixed quadrature; spec keeps discrete_sum's call form)."""
+    value, _ = continuum_integral_with_error(state, chan, J)
     return value
 
 
-def continuum_integral_with_error(state: BoundState, chan: Channel, J: int,
-                                  spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
+def continuum_integral_with_error(state: BoundState, chan: Channel, J: int) -> tuple[float, float]:
     if J > max_convergent_order(state):
         raise DivergentSumRule(
             f"continuum part of S_{J} diverges for l = {state.l} (J <= {max_convergent_order(state)})"
         )
     cc = _continuum_channel(state, chan)
-    panels = spec.u_panels
-    prev = cc.integral(J, panels, spec.gauss_order)
+    panels = U_PANELS
+    prev = cc.integral(J, panels, GAUSS_ORDER)
     err = math.inf
-    for _ in range(spec.max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         panels *= 2
-        cur = cc.integral(J, panels, spec.gauss_order)
+        cur = cc.integral(J, panels, GAUSS_ORDER)
         new_err = abs(cur - prev)
         if new_err > max(err * 4.0, 1e-3):
             raise QuadratureNotConverged("panel refinement is not contracting")
         prev, err = cur, new_err
-        if err <= spec.abs_tol:
+        if err <= ABS_TOL:
             break
     if not math.isfinite(err):
         err = abs(float(prev))
@@ -212,15 +213,27 @@ def continuum_integral_with_error(state: BoundState, chan: Channel, J: int,
 # ---------------------------------------------------------------------------
 
 
-def compare(state: BoundState, chan: Channel, J: int,
+def compare(state: BoundState, direction: str, J: int,
             spec: QuadratureSpec = DEFAULT_SPEC) -> SumRuleValue:
-    """Assemble one row: brute-force split plus exact reference columns."""
-    disc = discrete_sum(state, chan, J, spec)
-    cont, quad_err = continuum_integral_with_error(state, chan, J, spec)
-    est = quad_err + _discrete_tail_estimate(state, chan, J, spec)
-    constructive = constructive_value(state.n, state.l, chan.direction, J)
+    """Assemble one row: brute-force split plus exact reference columns.
+
+    direction is "plus", "minus" or "total"; a total row fsums the discrete
+    parts, the continuum parts and the error estimates of the channels.  The
+    closed form is a total, so it fills only total rows and l = 0 rows (whose
+    one channel is the total).
+    """
+    if direction == "total":
+        directions = ("plus", "minus") if state.l else ("plus",)
+    else:
+        directions = (direction,)
+    discs, conts, errs = [], [], []
+    for chan in [channel(d, state.l) for d in directions]:
+        discs.append(discrete_sum(state, chan, J, spec))
+        cont, quad_err = continuum_integral_with_error(state, chan, J)
+        conts.append(cont)
+        errs.append(quad_err + _discrete_tail_estimate(state, chan, J, spec))
     closed = None
-    if 0 <= J <= 4 and (state.l == 0 or chan.direction == "total"):
+    if 0 <= J <= 4 and (state.l == 0 or direction == "total"):
         try:
             closed = closed_form_coulomb(state.n, state.l, J)
         except InvalidOrder:
@@ -228,12 +241,12 @@ def compare(state: BoundState, chan: Channel, J: int,
     return SumRuleValue(
         state=(state.n, state.l),
         J=J,
-        channel=chan.direction,
-        discrete=disc,
-        continuum=cont,
-        constructive=constructive,
+        channel=direction,
+        discrete=math.fsum(discs),
+        continuum=math.fsum(conts),
+        constructive=constructive_value(state.n, state.l, direction, J),
         closed_form=closed,
-        estimated_error=est,
+        estimated_error=math.fsum(errs),
     )
 
 
@@ -261,11 +274,19 @@ def residue_circle(n: int, J: int, radius: float | None = None, m_points: int = 
     return float(total.real)
 
 
-def line_integral_imag_axis(J: int, y_cut: float = 400.0, n_panels: int = 64,
-                            order: int = 12) -> float:
-    """int_0^{i y_cut} of the contour integrand along the imaginary axis,
-    via y = tan(u)."""
-    u, w = _gauss_panels(1e-12, math.atan(y_cut), n_panels, order)
+# The line integral and its continuum reference share the cut y = q, the panels
+# and the order in u = atan(y); residues are taken at the levels CONTOUR_LEVELS.
+CONTOUR_Y_CUT = 400.0
+CONTOUR_PANELS = 64
+CONTOUR_ORDER = 12
+CONTOUR_LEVELS = range(2, 11)
+CONTOUR_TOL = 1e-6
+
+
+def line_integral_imag_axis(J: int) -> float:
+    """int_0^{i CONTOUR_Y_CUT} of the contour integrand along the imaginary
+    axis, via y = tan(u)."""
+    u, w = _gauss_panels(1e-12, math.atan(CONTOUR_Y_CUT), CONTOUR_PANELS, CONTOUR_ORDER)
     y = np.tan(u)
     f = _contour_integrand(1j * y, J) * 1j * (1.0 + y * y)
     return math.fsum((w * f.real).tolist())
@@ -278,32 +299,27 @@ class ContourReport:
     radius_stability: float
     line_integral: float
     continuum_reference: float
-    tol: float = 1e-6
 
     @property
     def passed(self) -> bool:
-        ok = all(abs(a - b) <= self.tol * max(1.0, abs(b)) for _, a, b in self.residue_rows)
-        return ok and abs(self.line_integral - self.continuum_reference) <= self.tol \
+        ok = all(abs(a - b) <= CONTOUR_TOL * max(1.0, abs(b)) for _, a, b in self.residue_rows)
+        return ok and abs(self.line_integral - self.continuum_reference) <= CONTOUR_TOL \
             and self.radius_stability <= 1e-8
 
 
-def contour_check(J: int, n_range: range = range(2, 11)) -> ContourReport:
+def contour_check(J: int) -> ContourReport:
     """Residues at v = 1/n against discrete terms, and the imaginary-axis
-    line integral against the continuum integral over the same q range.
-
-    The continuum reference uses a fixed quadrature: 64 panels of order 12."""
+    line integral against the continuum integral over the same q range."""
     if not 0 <= J <= 3:
         raise DivergentSumRule("contour check covers J = 0..3")
     rows = []
-    for n in n_range:
+    for n in CONTOUR_LEVELS:
         circ = residue_circle(n, J)
         term = (1.0 - 1.0 / n**2) ** J * float(z2_1s_to_np(n))
         rows.append((n, circ, term))
     r2 = residue_circle(2, J)
     r2_half = residue_circle(2, J, radius=0.15 / 6.0)
-    y_cut = 400.0
-    line = line_integral_imag_axis(J, y_cut=y_cut)
     cc = _ContinuumChannel(bound_state(1, 0), channel("plus", 0))
-    ref = cc.integral(J, n_panels=64, order=12, u_hi=math.atan(y_cut))
+    ref = cc.integral(J, CONTOUR_PANELS, CONTOUR_ORDER, u_hi=math.atan(CONTOUR_Y_CUT))
     return ContourReport(J=J, residue_rows=rows, radius_stability=abs(r2 - r2_half),
-                         line_integral=line, continuum_reference=ref)
+                         line_integral=line_integral_imag_axis(J), continuum_reference=ref)

@@ -166,9 +166,9 @@ def closed_form_power_law(state: GridFunction, v0: Potential, J: int) -> float:
         if J == 2:
             return 4.0 * kappa
         if J == 3:
-            return 4.0 / (3 - 4 * lam) * grid_expectation(state, lambda r: r**-2.0)
+            return 4.0 / (3 - 4 * lam) * _power_moment(state, Fraction(-2), -2.0, "<rho^-2>")
         if J == 4:
-            return 16.0 * kappa * grid_expectation(state, lambda r: r**-2.0)
+            return 16.0 * kappa * _power_moment(state, Fraction(-2), -2.0, "<rho^-2>")
         raise InvalidOrder("log-potential closed forms cover J = 0..4")
     if v0.kind != "power":
         raise InvalidOrder("use closed_form_coulomb for the Coulomb potential")
@@ -185,18 +185,21 @@ def closed_form_power_law(state: GridFunction, v0: Potential, J: int) -> float:
 
 
 def _power_moment(state: GridFunction, p: Fraction, p_float: float, name: str) -> float:
-    """Grid <rho^p_float>, p_float being the float form of the exponent p.
+    """<rho^p_float>, p_float being the float form of the exponent p.
 
-    u ~ rho^(l+1) at the origin, so <rho^p> exists iff p > -(2l+3).  The rule
-    is applied to the exact p: a grid that starts at rho_min > 0 returns a
-    finite sum for a divergent moment too.
+    u ~ C_l rho^(l+1) at the origin, so <rho^p> exists iff p > -(2l+3).  The
+    rule is applied to the exact p: a grid that starts at rho_min > 0 returns
+    a finite sum for a divergent moment too.  The grid sum misses
+    int_0^rho_min u^2 rho^p = C_l^2 rho_min^s / s with s = 2l+3+p, which is
+    added analytically (it is the leading error for p near -(2l+3)).
     """
-    if p <= -(2 * state.l + 3):
+    s = 2 * state.l + 3 + p
+    if s <= 0:
         raise DivergentExpectation(f"{name} does not exist")
     expv = grid_expectation(state, lambda r: r**p_float)
     if not math.isfinite(expv):
         raise DivergentExpectation(f"{name} does not exist")
-    return expv
+    return expv + state.c_origin() ** 2 * float(state.grid[0]) ** float(s) / float(s)
 
 
 def virial_s2(state: GridFunction, v0: Potential) -> float:

@@ -207,9 +207,8 @@ def test_criterion_8_oracle_closure():
     for n, l in [(1, 0), (2, 0), (2, 1)]:
         state = bound_state(n, l)
         for direction in (("plus",) if l == 0 else ("plus", "minus")):
-            chan = channel(direction, l)
             for J in range(-4, max_convergent_order(state) + 1):
-                row = compare(state, chan, J, SPEC)
+                row = compare(state, direction, J, SPEC)
                 assert row.constructive is not None
                 gap = abs(row.total - float(row.constructive))
                 assert gap <= max(2e-4, row.estimated_error), (n, l, direction, J, gap)

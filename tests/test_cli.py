@@ -74,6 +74,11 @@ class TestTable:
         assert trk["discrete"] == pytest.approx(1.0, abs=1e-4)
         assert all(r["pass"] for r in rows)
 
+    def test_potential_pass_is_json_boolean(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--format", "json")
+        assert code == 0
+        assert all(r["pass"] is True for r in json.loads(out))
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "--state", "zz")
         assert code == 2

@@ -1,11 +1,12 @@
 """Brute-force route: discrete sums, continuum quadrature, contour check."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from dipolesum import oracle
-from dipolesum.errors import DivergentSumRule, InvalidOrder
+from dipolesum.errors import DivergentSumRule, InvalidOrder, InvalidQuantumNumbers
 from dipolesum.hydrogen import bound_state, channel, z2_1s_to_np
 from dipolesum.oracle import (
     QuadratureSpec,
@@ -16,6 +17,7 @@ from dipolesum.oracle import (
     max_convergent_order,
     residue_circle,
 )
+from dipolesum.sumrules import closed_form_coulomb
 
 SPEC = QuadratureSpec()
 
@@ -73,20 +75,20 @@ class TestContinuumIntegral:
 
 class TestCompare:
     def test_ground_second_order_row(self):
-        row = compare(bound_state(1, 0), channel("plus", 0), 2, SPEC)
+        row = compare(bound_state(1, 0), "plus", 2, SPEC)
         assert row.discrete == pytest.approx(0.449355, abs=2e-4)
         assert row.continuum == pytest.approx(0.883977, abs=2e-4)
         assert row.constructive == F(4, 3)
         assert row.total == pytest.approx(4 / 3, abs=2e-4)
 
     def test_excited_p_minus_first_order_row(self):
-        row = compare(bound_state(2, 1), channel("minus", 1), 1, SPEC)
+        row = compare(bound_state(2, 1), "minus", 1, SPEC)
         assert row.discrete == pytest.approx(-0.35677, abs=2e-3)
         assert row.continuum == pytest.approx(0.02344, abs=2e-3)
         assert row.total == pytest.approx(-1 / 3, abs=2e-4)
 
     def test_ground_inverse_fourth_row(self):
-        row = compare(bound_state(1, 0), channel("plus", 0), -4, SPEC)
+        row = compare(bound_state(1, 0), "plus", -4, SPEC)
         assert row.discrete == pytest.approx(1.982648, abs=2e-4)
         assert row.continuum == pytest.approx(0.116526, abs=2e-4)
         assert row.constructive == F(9673, 4608)
@@ -95,7 +97,7 @@ class TestCompare:
         def no_form(m, l, J):
             raise InvalidOrder("no closed form")
         monkeypatch.setattr(oracle, "closed_form_coulomb", no_form)
-        row = compare(bound_state(1, 0), channel("plus", 0), 2, SPEC)
+        row = compare(bound_state(1, 0), "plus", 2, SPEC)
         assert row.closed_form is None
         assert row.constructive == F(4, 3)
 
@@ -104,21 +106,57 @@ class TestCompare:
             raise RuntimeError("not an order error")
         monkeypatch.setattr(oracle, "closed_form_coulomb", broken)
         with pytest.raises(RuntimeError, match="not an order error"):
-            compare(bound_state(1, 0), channel("plus", 0), 2, SPEC)
+            compare(bound_state(1, 0), "plus", 2, SPEC)
 
     def test_estimated_error_bounds_truth(self):
         # the error estimate should cover the actual deviation from exact
         hits, total = 0, 0
         for n, l, direction in [(1, 0, "plus"), (2, 0, "plus"), (2, 1, "minus")]:
-            st, ch = bound_state(n, l), channel(direction, l)
+            st = bound_state(n, l)
             for J in range(-2, max_convergent_order(st) + 1):
-                row = compare(st, ch, J, SPEC)
+                row = compare(st, direction, J, SPEC)
                 if row.constructive is None:
                     continue
                 total += 1
                 if abs(row.total - float(row.constructive)) <= max(2e-4, row.estimated_error):
                     hits += 1
         assert hits / total >= 0.95
+
+
+class TestTotalRows:
+    @pytest.mark.parametrize("n,l", [(2, 1), (3, 2)])
+    def test_total_is_fsum_of_channel_rows(self, n, l):
+        st = bound_state(n, l)
+        for J in range(-4, max_convergent_order(st) + 1):
+            tot = compare(st, "total", J, SPEC)
+            plus, minus = compare(st, "plus", J, SPEC), compare(st, "minus", J, SPEC)
+            assert tot.channel == "total"
+            assert tot.discrete == math.fsum([plus.discrete, minus.discrete])
+            assert tot.continuum == math.fsum([plus.continuum, minus.continuum])
+            assert tot.estimated_error == math.fsum([plus.estimated_error,
+                                                     minus.estimated_error])
+            assert tot.constructive == plus.constructive + minus.constructive
+
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 0), (2, 1), (3, 2)])
+    def test_closed_form_fills_total_rows(self, n, l):
+        st = bound_state(n, l)
+        for J in range(0, min(4, max_convergent_order(st)) + 1):
+            try:
+                want = closed_form_coulomb(n, l, J)
+            except InvalidOrder:
+                want = None
+            row = compare(st, "total", J, SPEC)
+            assert row.closed_form == want
+            if want is not None:
+                assert row.closed_form == row.constructive
+            if l > 0:
+                assert compare(st, "plus", J, SPEC).closed_form is None
+
+    def test_forbidden_and_unknown_directions(self):
+        with pytest.raises(InvalidQuantumNumbers):
+            compare(bound_state(1, 0), "minus", 0, SPEC)
+        with pytest.raises(InvalidQuantumNumbers):
+            compare(bound_state(2, 1), "both", 0, SPEC)
 
 
 class TestClosureBeyondPaperStates:
@@ -129,9 +167,9 @@ class TestClosureBeyondPaperStates:
                                                (3, 2, "plus"), (3, 2, "minus"),
                                                (4, 3, "plus"), (4, 3, "minus")])
     def test_totals_close_on_constructive_values(self, n, l, direction):
-        st, ch = bound_state(n, l), channel(direction, l)
+        st = bound_state(n, l)
         for J in range(-4, max_convergent_order(st) + 1):
-            row = compare(st, ch, J, SPEC)
+            row = compare(st, direction, J, SPEC)
             gap = abs(row.total - float(row.constructive))
             assert gap <= max(2e-4, row.estimated_error), (J, gap, row.estimated_error)
 

@@ -127,6 +127,14 @@ class TestClosedForms:
             closed_form_power_law(st, v0, 4)
         assert math.isfinite(closed_form_power_law(st, v0, 3))   # <rho^-5/2> exists
 
+    def test_power_law_moment_includes_origin_piece(self):
+        # <rho^-5/2> for l = 0 converges like rho_min^(1/2) at the origin; the
+        # analytic origin piece makes S_3 independent of where the grid starts
+        v0 = power_law(F(-1, 2))
+        coarse, fine = (closed_form_power_law(solve_bound(v0, 0, 0, rho_min=r), v0, 3)
+                        for r in (1e-4, 1e-10))
+        assert coarse == pytest.approx(fine, rel=1e-6)
+
     def test_power_law_moment_edge_by_l(self):
         # <rho^(gamma - 2)> = <rho^-7/2> exists for l = 1 (-7/2 > -5), not for l = 0
         v0 = power_law(F(-3, 2))
