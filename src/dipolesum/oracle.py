@@ -301,10 +301,16 @@ class ContourReport:
     continuum_reference: float
 
     @property
+    def gates(self) -> dict[str, bool]:
+        """Whether each part is within its gate; residues are gated relative to the term."""
+        return {"residues": all(abs(a - b) <= CONTOUR_TOL * max(1.0, abs(b))
+                                for _, a, b in self.residue_rows),
+                "line integral": abs(self.line_integral - self.continuum_reference) <= CONTOUR_TOL,
+                "radius stability": self.radius_stability <= 1e-8}
+
+    @property
     def passed(self) -> bool:
-        ok = all(abs(a - b) <= CONTOUR_TOL * max(1.0, abs(b)) for _, a, b in self.residue_rows)
-        return ok and abs(self.line_integral - self.continuum_reference) <= CONTOUR_TOL \
-            and self.radius_stability <= 1e-8
+        return all(self.gates.values())
 
 
 def contour_check(J: int) -> ContourReport:

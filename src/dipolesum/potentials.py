@@ -267,6 +267,56 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
     return max(2.0 * (nodes + l + 1) ** 2 + 40.0, turning + 30.0 * decay)
 
 
+# Mesh sizes of the pseudo-spectrum route: sums on the larger, error estimates from both
+MESH_SIZES = (120, 180)
+
+
+def mesh_spectrum(v0: Potential, l: int, n: int, r_max: float):
+    """(energies, eigenvectors in columns, points r = h x) of the radial Hamiltonian on
+    the regularised n-point Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep.
+    565, 1); x are the zeros of L_n, from the Laguerre Jacobi matrix (laggauss's weights
+    overflow from n of about 180).  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
+    k = np.arange(n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    h, r = r_max / x[-1], r_max / x[-1] * x
+    dx = np.subtract.outer(x, x) + np.eye(n)   # 1 on the diagonal, overwritten below
+    t = (-1.0) ** np.add.outer(k, k) * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
+    np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
+    h_mesh = t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r))
+    return (*np.linalg.eigh(h_mesh), r)
+
+
+def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> dict[int, float]:
+    """{J: sum over chans of w sum_k (2(E_k - E))^J <k|r|0>^2} for the level
+    (l, nodes), on n-point meshes that share the solver's extent as r_max.
+    Levels degenerate with it count in S_0 and drop out of J < 0."""
+    if nodes >= n:
+        raise NotConverged(f"a {n}-point mesh holds no level with {nodes} nodes")
+    r_max = _default_rho_max(v0, l, nodes)
+    e, c, r = mesh_spectrum(v0, l, n, r_max)
+    sums = dict.fromkeys(orders, 0.0)
+    for chan in chans:
+        ek, ck, _ = mesh_spectrum(v0, chan.target_l, n, r_max)
+        de = 2.0 * (ek - e[nodes])
+        de[np.abs(de) < 1e-8] = 0.0
+        me2 = float(chan.weight) * (ck.T @ (r * c[:, nodes])) ** 2
+        for J in orders:
+            power = de**J if J >= 0 else np.divide(1.0, de**-J, out=np.zeros(n), where=de != 0.0)
+            sums[J] += float(power @ me2)
+    return sums
+
+
+def _mesh_bracket(v0: Potential, l: int, nodes: int, rho_max: float, counter):
+    """(lo, hi - lo), halfway from mesh level `nodes` to its neighbours, if the counts agree."""
+    e = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0].tolist()
+    if nodes + 1 < len(e):
+        lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
+        hi = 0.5 * (e[nodes] + e[nodes + 1])
+        if counter.count(lo) <= nodes < counter.count(hi):
+            return lo, hi - lo
+    raise NoBoundState("cannot bracket from below")
+
+
 def _match_defect(rho2, veff, energy, hx, w0):
     """Log-derivative mismatch at the outermost turning point.
 
@@ -348,15 +398,14 @@ def solve_bound(
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
         counter = _NodeCounter(rho2, veff, hx, w0)
 
-        e_lo = -1.0
+        e_lo, step = -1.0, 1.0
         for _ in range(80):
             if counter.count(e_lo) <= nodes:
                 break
             e_lo *= 2.0
-        else:
-            raise NoBoundState("cannot bracket from below")
+        else:   # on a wide grid f < 0 far out makes these counts spurious
+            e_lo, step = _mesh_bracket(v0, l, nodes, rho_max, counter)
         e_hi = e_lo
-        step = 1.0
         for _ in range(200):
             e_hi += step
             step *= 1.5

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dipolesum
-from dipolesum import cli
+from dipolesum import cli, oracle
 from dipolesum.cli import CSV_COLUMNS, main
 from dipolesum.errors import (
     GridTooShort,
@@ -78,6 +79,41 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--format", "json")
         assert code == 0
         assert all(r["pass"] is True for r in json.loads(out))
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma=1", "--l", "1", "--nodes", "1", "--orders", "0..4"],
+        ["log", "--orders", "0..3"],
+        ["gamma=1/2", "--orders", "0..3"],
+        ["gamma=-1/2", "--orders", "0..2"],
+    ])
+    def test_potential_mesh_rows_pass(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "table", "--potential", *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert all(r["pass"] is True and r["route"] == "mesh" for r in rows)
+        assert all(r["estimated_error"] <= 1e-4 for r in rows)
+        assert all(abs(r["total"] - r["reference"]) <= 1e-4 for r in rows)
+
+    def test_potential_with_continuum_prints_total_only(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--potential", "gamma=-1/2", "--orders", "0..1",
+                               "--format", "json")
+        assert code == 0
+        assert all(r["discrete"] is None and r["total"] is not None for r in json.loads(out))
+
+    def test_potential_fourth_order_log_fails_honestly(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--potential", "log", "--orders", "0..4")
+        assert code == 1
+        assert [line.endswith("PASS") for line in out.splitlines()] == [True] * 4 + [False]
+
+    def test_potential_text_row_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--orders", "0..4")
+        assert code == 0
+        shape = re.compile(r"J=\+(\d)  total: discrete=(\d+\.\d{6}) continuum=      - "
+                           r"total=(\d+\.\d{6}) constructive=      - closed=(\d+\.\d{6}) PASS")
+        rows = [shape.fullmatch(line) for line in out.splitlines()]
+        assert all(rows) and len(rows) == 5
+        # the oscillator's S_J = 2^J / 2 exactly
+        assert [m.group(2, 3, 4) for m in rows] == [(f"{2**J / 2:.6f}",) * 3 for J in range(5)]
 
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "table", "--state", "zz")
@@ -182,6 +218,13 @@ class TestPotentialCommand:
         assert proc.returncode == 0, proc.stderr
         assert "nodes: 3" in proc.stdout
 
+    @pytest.mark.parametrize("argv", [["--nodes", "5"], ["--l", "1", "--nodes", "4"]])
+    def test_level_bracketed_from_mesh(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=1/2", *argv,
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["nodes"] == int(argv[-1])
+
     def test_steep_negative_power_excited_level(self, capsys):
         code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=-3/2", "--nodes", "1",
                                "--format", "json")
@@ -249,6 +292,15 @@ class TestVerify:
         assert all(c["pass"] for c in checks)
         names = " ".join(c["check"] for c in checks)
         assert "negative control" in names
+
+    def test_contour_suite_reads_report_gates(self, monkeypatch):
+        # a residue term above 1 passes on the report's relative gate
+        rep = oracle.ContourReport(J=0, residue_rows=[(2, 2.0 + 1.5e-6, 2.0)],
+                                   radius_stability=2e-8, line_integral=0.0,
+                                   continuum_reference=0.0)
+        monkeypatch.setattr(cli, "contour_check", lambda J: rep)
+        checks = cli.verify_contour()
+        assert [c["pass"] for c in checks[:3]] == [True, True, False]
 
     def test_contour_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "contour", "--format", "json")

@@ -175,6 +175,18 @@ class TestClosureBeyondPaperStates:
 
 
 class TestContour:
+    def test_residue_gate_is_relative(self):
+        # a term above 1 is gated on CONTOUR_TOL * |term|, in the report and in the CLI
+        rep = oracle.ContourReport(J=0, residue_rows=[(2, 2.0 + 1.5e-6, 2.0)],
+                                   radius_stability=0.0, line_integral=0.0,
+                                   continuum_reference=0.0)
+        assert rep.gates["residues"] and rep.passed
+        far = oracle.ContourReport(J=0, residue_rows=[(2, 2.0 + 3e-6, 2.0)],
+                                   radius_stability=2e-8, line_integral=2e-6,
+                                   continuum_reference=0.0)
+        assert not any(far.gates.values())
+        assert not far.passed
+
     def test_residues_match_discrete_terms(self):
         for J in (0, 1, 2, 3):
             rep = contour_check(J)

@@ -1,27 +1,32 @@
 """Generic bound-state solver, grid expectations, grid ladders."""
 
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from dipolesum.errors import NoBoundState, SingularDerivative
+from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
 from dipolesum.ladder import build_f_ladder
 from dipolesum.potentials import (
     _BLOCK,
     COULOMB,
     LOG,
+    MESH_SIZES,
     _NodeCounter,
     _default_rho_max,
     _log_grid_w,
     grid_expectation,
     grid_f_ladder,
     grid_overlap,
+    mesh_spectrum,
+    mesh_sum_rules,
     power_law,
     solve_bound,
 )
+from dipolesum.sumrules import closed_form_power_law, constructive_value
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,78 @@ class TestSolveBound:
         # the tail estimate of this level overflows a float
         with pytest.raises(NoBoundState):
             solve_bound(power_law(F(-1999, 1000)), 0, 1000)
+
+    @pytest.mark.parametrize("l, nodes", [(0, 5), (1, 4)])
+    def test_bracket_seeded_from_mesh(self, l, nodes):
+        # on the default grid the counts below e = -1 are spurious, so the
+        # bracket comes from the mesh levels next to the wanted one
+        v0 = power_law(F(1, 2))
+        st = solve_bound(v0, l, nodes)
+        assert st.nodes == nodes
+        narrow = solve_bound(v0, l, nodes, rho_max=150.0)
+        assert st.energy == pytest.approx(narrow.energy, rel=1e-9)
+
+    def test_shallow_level_bracketed_from_mesh(self):
+        # this level's tail needs rho_max ~ 1100, where the counts below
+        # e = -1 are spurious as well
+        v0 = power_law(F(-3, 2))
+        st = solve_bound(v0, 0, 3)
+        wide = solve_bound(v0, 0, 3, rho_max=1.5 * st.grid[-1])
+        assert st.nodes == 3 and st.energy == pytest.approx(wide.energy, rel=1e-9)
+
+
+class TestMesh:
+    def test_nodes_are_laguerre_zeros(self):
+        x = np.polynomial.laguerre.laggauss(60)[0]
+        r = mesh_spectrum(LOG, 0, 60, x[-1])[2]
+        assert np.max(np.abs(r - x)) < 1e-11
+
+    def test_exact_levels(self):
+        assert mesh_spectrum(power_law(2), 1, 120, 30.0)[0][:3] == pytest.approx(
+            [2.5, 4.5, 6.5], abs=1e-10)
+        assert mesh_spectrum(COULOMB, 0, 120, 40.0)[0][:2] == pytest.approx(
+            [-0.5, -0.125], abs=1e-10)
+
+    def test_no_runtime_warning_at_large_size(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e, c, r = mesh_spectrum(LOG, 0, 240, 40.0)
+        assert np.all(np.isfinite(e)) and r[-1] == pytest.approx(40.0)
+        assert np.max(np.abs(c.T @ c - np.eye(240))) < 1e-12
+
+    @pytest.mark.parametrize("n, l, direction", [(1, 0, "plus"), (2, 0, "plus"),
+                                                 (2, 1, "plus"), (2, 1, "minus")])
+    def test_coulomb_totals_match_constructive(self, n, l, direction):
+        # a fourth route to the exact values; 2s and 2p- meet a degenerate
+        # level, which counts in S_0 only
+        orders = range(-4, 4 + l)
+        for size in MESH_SIZES:
+            got = mesh_sum_rules(COULOMB, l, n - l - 1, [channel(direction, l)], orders, size)
+            for J in orders:
+                want = float(constructive_value(n, l, direction, J))
+                assert got[J] == pytest.approx(want, rel=1e-6), (size, J)
+
+    @pytest.mark.parametrize("v0, top", [(power_law(2), 3), (power_law(1), 3),
+                                         (power_law(F(1, 2)), 3), (power_law(F(-1, 2)), 2),
+                                         (LOG, 3)])
+    def test_totals_match_closed_forms(self, v0, top):
+        st = solve_bound(v0, 0, 0)
+        orders = range(top + 1)
+        got = mesh_sum_rules(v0, 0, 0, [channel("plus", 0)], orders, MESH_SIZES[-1])
+        for J in orders:
+            assert got[J] == pytest.approx(closed_form_power_law(st, v0, J), abs=1e-6), J
+
+    def test_level_beyond_mesh_rejected(self):
+        with pytest.raises(NotConverged):
+            mesh_sum_rules(power_law(2), 0, 120, [channel("plus", 0)], [0], 120)
+
+    def test_log_fourth_order_estimate_covers_gap(self):
+        # S_4 of the log potential holds <rho^-2>, which the meshes resolve
+        # poorly: the row fails, but its estimate must cover the gap
+        coarse, fine = (mesh_sum_rules(LOG, 0, 0, [channel("plus", 0)], [4], n)[4]
+                        for n in MESH_SIZES)
+        gap = abs(fine - closed_form_power_law(solve_bound(LOG, 0, 0), LOG, 4))
+        assert 1e-4 < gap <= abs(fine - coarse)
 
 
 def _grid(v0, l, rho_max, n_points=8192, rho_min=1e-8):
