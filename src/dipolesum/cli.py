@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle, potentials
-from .errors import DipoleSumError, DivergentSumRule, NumericalFailure
+from .errors import DipoleSumError, DivergentExpectation, DivergentSumRule, NumericalFailure
 from .hydrogen import bound_bound_z2, bound_state, channel
 from .ladder import build_f_ladder, greens_negative_order
 from .oracle import QuadratureSpec, contour_check, max_convergent_order
@@ -152,12 +152,17 @@ def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
 def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
                          orders: list[int], tol: float) -> list[dict]:
     """Fine-mesh totals; the distance to the coarse mesh's total and to the closed form
-    (on the shooter's level, a cross-check of the two solvers) must be <= max(tol, 1e-4)."""
+    (on the shooter's level, a cross-check of the two solvers) must be <= max(tol, 1e-4).
+    A divergent order is reported as such: for Coulomb (also written gamma=-1) past
+    oracle.max_convergent_order, elsewhere where the closed form needs a divergent moment."""
     state = solve_bound(v0, l, nodes)
     chans = [channel(d, l) for d in ("plus", "minus")[: 1 + (l > 0)]]
     coarse, fine = (mesh_sum_rules(v0, l, nodes, chans, orders, n) for n in MESH_SIZES)
     # with a continuum, the sign of E_k is no physical split: print the total only
-    confining = v0.kind == "log" or (v0.kind == "power" and v0.gamma > 0)
+    confining = v0.confining()
+    # at l = 0 the Coulomb J = 3 form multiplies the divergent <rho^-3> by 0: that sum converges
+    coulomb = v0 in (COULOMB, power_law(-1))
+    top = max_convergent_order(bound_state(nodes + l + 1, l)) if coulomb else None
     gate = max(tol, 1e-4)
     rows = []
     for J in orders:
@@ -167,11 +172,17 @@ def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
                "J": J, "channel": "total", "discrete": total if confining else None,
                "continuum": None, "total": total, "constructive": None, "closed_form": None,
                "estimated_error": est, "route": "mesh", "pass": est <= gate}
-        try:
-            row["reference"] = closed_form_power_law(state, v0, J)   # expectation form, not exact
-        except DipoleSumError:
-            pass   # no closed form: the estimate alone gates the row
-        row["pass"] = row["pass"] and abs(total - row.get("reference", total)) <= gate
+        divergent = coulomb and J > top
+        if not divergent:
+            try:
+                row["reference"] = closed_form_power_law(state, v0, J)   # expectation form
+            except DivergentExpectation:
+                divergent = not coulomb
+            except DipoleSumError:
+                pass   # no closed form: the estimate alone gates the row
+        if divergent:
+            row.update(discrete=None, total=None, estimated_error=None, divergent=True)
+        row["pass"] = divergent or (row["pass"] and abs(total - row.get("reference", total)) <= gate)
         rows.append(row)
     return rows
 

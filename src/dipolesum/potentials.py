@@ -12,9 +12,11 @@ The reduced radial equation solved here is
     u'' = (l(l+1)/rho^2 + 2 v0(rho) - 2 e) u,   int u^2 drho = 1.
 
 Bound states are found by Numerov integration on a log-uniform grid
-(x = log rho, w = u/sqrt(rho)), node-counting bisection, and a final
-log-derivative matching refinement.  The log grid resolves the rho**(l+1)
-origin behaviour and one policy covers every potential kind.
+(x = log rho, w = u/sqrt(rho)): a secant on the log-derivative matching
+defect starts at the level of a Lagrange-Laguerre mesh spectrum, which fixes
+the node count, and the shooter's own eigenvalue is returned.  The log grid
+resolves the rho**(l+1) origin behaviour and one policy covers every
+potential kind.
 """
 
 from __future__ import annotations
@@ -90,6 +92,11 @@ class Potential:
             return None
         return 1 / self.gamma, self.gamma
 
+    def confining(self) -> bool:
+        """True when the spectrum is all bound levels (log, g > 0); Coulomb
+        and g < 0 have a continuum above 0."""
+        return self.kind == "log" or (self.kind == "power" and self.gamma > 0)
+
     def polyexp_shift(self) -> tuple[int, Fraction] | None:
         """(k, c) such that 2*v0*f = c * rho^k * f stays polynomial, else None."""
         if self.kind == "coulomb":
@@ -142,98 +149,12 @@ class GridFunction:
         return float(coeffs[0])
 
 
-# Numerov steps per block of the node-count kernel.  On the default grid of
-# 8192 points, 32 balances the per-step array operations against the
-# per-block chain loop.
-_BLOCK = 32
-
-
-def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float) -> np.ndarray:
     """W-array for the log-grid equation w'' = [rho^2 Wu(rho) + 1/4] w.
 
     veff = l(l+1)/rho^2 + 2 v0(rho) is the energy-independent part of Wu.
-    The result goes into out when it is given.
     """
-    out = np.subtract(veff, 2.0 * energy, out=out)
-    np.multiply(rho2, out, out=out)
-    return np.add(out, 0.25, out=out)
-
-
-class _NodeCounter:
-    """Node counts on one grid: strict sign changes of the forward Numerov
-    solution started from (w0, 1), energy by energy.
-
-    With f = 1 - (h^2/12) W the recurrence is
-    w[i] = ((12 - 10 f[i-1]) w[i-1] - f[i-2] w[i-2]) / f[i].  The grid is cut
-    into blocks of _BLOCK steps: block k starts at grid point _BLOCK * k and
-    covers _BLOCK + 2 points, so neighbouring blocks overlap by two.  All
-    blocks advance together, one array operation per step, from the starts
-    (1, 0) and (0, 1).  A short loop then chains the blocks through their end
-    values, renormalised by powers of two.  Each rebuilt block is a positive
-    multiple of the true w, so its signs, and hence the node count, are those
-    of a sequential sweep.
-
-    The work arrays, about half a megabyte on the default grid, are allocated
-    once per grid and every count writes into them: allocated per count, the
-    allocator handed them back to the system each time and the next count
-    page-faulted them in again.
-    """
-
-    def __init__(self, rho2: np.ndarray, veff: np.ndarray, hx: float, w0: float):
-        self.rho2, self.veff, self.w0 = rho2, veff, w0
-        self.scale = hx * hx / 12.0
-        self.n = len(rho2)
-        nb = -(-self.n // _BLOCK)
-        self.fpad = np.ones(nb * _BLOCK + 2)   # f = 1 (W = 0) fills the last block
-        # fb[j, k] = f at _BLOCK * k + j; a contiguous copy of the windows
-        # keeps the per-step rows fast
-        self.windows = np.lib.stride_tricks.sliding_window_view(self.fpad, _BLOCK + 2)[::_BLOCK].T
-        self.fb = np.empty((_BLOCK + 2, nb))
-        self.gb = np.empty_like(self.fb)
-        # sol[j, 0, k] and sol[j, 1, k]: the block solutions at _BLOCK * k + j
-        self.sol = np.zeros((_BLOCK + 2, 2, nb))
-        self.sol[0, 0] = 1.0
-        self.sol[1, 1] = 1.0
-        self.terms = np.empty((2, 2, nb))
-        self.w = np.empty((_BLOCK, nb))
-        self.prod = np.empty((_BLOCK, nb))
-        self.negative = np.empty((_BLOCK - 1, nb), dtype=bool)
-
-    def count(self, energy: float) -> int:
-        f = self.fpad[: self.n]
-        _log_grid_w(self.rho2, self.veff, energy, out=f)
-        np.multiply(self.scale, f, out=f)
-        np.subtract(1.0, f, out=f)
-        fb, gb, sol = self.fb, self.gb, self.sol
-        np.copyto(fb, self.windows)
-        np.multiply(10.0, fb, out=gb)
-        np.subtract(12.0, gb, out=gb)
-        t0, t1 = self.terms
-        for j in range(2, _BLOCK + 2):
-            np.multiply(gb[j - 1], sol[j - 1], out=t0)
-            np.multiply(fb[j - 2], sol[j - 2], out=t1)
-            np.subtract(t0, t1, out=t0)
-            np.divide(t0, fb[j], out=sol[j])
-
-        a, b = self.w0, 1.0
-        start_a, start_b = [], []
-        for p0, q0, p1, q1 in zip(*sol[_BLOCK].tolist(), *sol[_BLOCK + 1].tolist()):
-            e = -math.frexp(a if abs(a) > abs(b) else b)[1]
-            a, b = math.ldexp(a, e), math.ldexp(b, e)
-            start_a.append(a)
-            start_b.append(b)
-            a, b = a * p0 + b * q0, a * p1 + b * q1
-        w, prod = self.w, self.prod
-        np.multiply(sol[:_BLOCK, 0], start_a, out=w)
-        np.multiply(sol[:_BLOCK, 1], start_b, out=prod)
-        w += prod
-        sign = np.sign(w, out=w)   # sign[j, k] is the sign of w at _BLOCK * k + j
-        sign[self.n - _BLOCK * (sign.shape[1] - 1) :, -1] = 0.0   # padding past the grid end
-        np.multiply(sign[1:], sign[:-1], out=prod[1:])
-        within = np.count_nonzero(np.less(prod[1:], 0.0, out=self.negative))
-        across = np.count_nonzero(sign[0, 1:] * sign[-1, :-1] < 0.0)
-        return int(within + across)
+    return rho2 * (veff - 2.0 * energy) + 0.25
 
 
 def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
@@ -246,7 +167,7 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
     if g > 0:
         # classical turning point of a generous energy guess, plus tail room
         e_guess = 3.0 * (nodes + l + 2) ** (2 * g / (g + 2.0)) / g + 2.0
-        rt = (abs(g * e_guess)) ** (1.0 / g) if g > 0 else 10.0
+        rt = (g * e_guess) ** (1.0 / g)
         return 3.0 * rt + 12.0
     # g < 0: v0 = -rho^-a / a with a = -g in (0, 2).  For a > 1 the levels
     # crowd towards 0 much faster than Coulomb's, so the extent follows the
@@ -304,17 +225,6 @@ def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> 
             power = de**J if J >= 0 else np.divide(1.0, de**-J, out=np.zeros(n), where=de != 0.0)
             sums[J] += float(power @ me2)
     return sums
-
-
-def _mesh_bracket(v0: Potential, l: int, nodes: int, rho_max: float, counter):
-    """(lo, hi - lo), halfway from mesh level `nodes` to its neighbours, if the counts agree."""
-    e = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0].tolist()
-    if nodes + 1 < len(e):
-        lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
-        hi = 0.5 * (e[nodes] + e[nodes + 1])
-        if counter.count(lo) <= nodes < counter.count(hi):
-            return lo, hi - lo
-    raise NoBoundState("cannot bracket from below")
 
 
 def _match_defect(rho2, veff, energy, hx, w0):
@@ -386,6 +296,9 @@ def solve_bound(
     """Bound eigenstate of v0 with given angular momentum and node count."""
     if l < 0 or nodes < 0:
         raise NoBoundState("l and nodes must be non-negative")
+    size = MESH_SIZES[-1]
+    if nodes + 1 >= size:
+        raise NoBoundState(f"a {size}-point mesh gives no start for {nodes} nodes")
     if rho_max is None:
         rho_max = _default_rho_max(v0, l, nodes)
 
@@ -396,47 +309,22 @@ def solve_bound(
         rho2 = rho**2
         veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
-        counter = _NodeCounter(rho2, veff, hx, w0)
 
-        e_lo, step = -1.0, 1.0
-        for _ in range(80):
-            if counter.count(e_lo) <= nodes:
-                break
-            e_lo *= 2.0
-        else:   # on a wide grid f < 0 far out makes these counts spurious
-            e_lo, step = _mesh_bracket(v0, l, nodes, rho_max, counter)
-        e_hi = e_lo
-        for _ in range(200):
-            e_hi += step
-            step *= 1.5
-            if counter.count(e_hi) > nodes:
-                break
-            if v0.kind == "coulomb" and e_hi > 0.0:
-                raise NoBoundState("requested state above the continuum threshold")
-        else:
-            raise NoBoundState("cannot bracket from above")
-
-        # node-count bisection: localize the jump nodes -> nodes+1
-        for _ in range(64):
-            e_mid = 0.5 * (e_lo + e_hi)
-            if counter.count(e_mid) <= nodes:
-                e_lo = e_mid
-            else:
-                e_hi = e_mid
-            if e_hi - e_lo < 1e-6 * max(abs(e_lo), 1e-3):
-                break
-
-        # secant refinement on the matching defect inside the bracket
-        ea, eb = e_lo, e_hi
+        # the secant on the matching defect starts at the mesh level and its
+        # steps stay within halfway to the neighbouring mesh levels
+        e = mesh_spectrum(v0, l, size, rho_max)[0].tolist()
+        if not v0.confining() and e[nodes] >= 0.0:
+            raise NoBoundState("requested state above the continuum threshold")
+        e_lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
+        e_hi = 0.5 * (e[nodes] + e[nodes + 1])
+        ea, eb = e[nodes], min(e[nodes] + 1e-6 * max(abs(e[nodes]), 1e-3), e_hi)
         fa, w, nd, m = _match_defect(rho2, veff, ea, hx, w0)
         fb = _match_defect(rho2, veff, eb, hx, w0)[0]
         energy = ea
         for _ in range(80):
             if fb == fa:
                 break
-            e_new = eb - fb * (eb - ea) / (fb - fa)
-            if not (e_lo - (e_hi - e_lo) <= e_new <= e_hi + (e_hi - e_lo)):
-                e_new = 0.5 * (ea + eb)
+            e_new = min(max(eb - fb * (eb - ea) / (fb - fa), e_lo), e_hi)
             f_new, w, nd, m = _match_defect(rho2, veff, e_new, hx, w0)
             ea, fa, eb, fb = eb, fb, e_new, f_new
             energy = e_new

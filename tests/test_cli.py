@@ -5,10 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dipolesum
 from dipolesum import cli, oracle
@@ -104,6 +108,26 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--potential", "log", "--orders", "0..4")
         assert code == 1
         assert [line.endswith("PASS") for line in out.splitlines()] == [True] * 4 + [False]
+
+    @pytest.mark.parametrize("argv", [["coulomb"], ["gamma=-1"], ["coulomb", "--l", "1"],
+                                      ["gamma=-1/2"]])
+    def test_potential_divergent_orders_reported(self, capsys, argv):
+        # Coulomb past J = 3 + l, and gamma=-1/2 at l = 0, J = 4 (<rho^-3>)
+        top = 4 + ("--l" in argv)
+        code, out, _ = run_cli(capsys, "table", "--potential", *argv,
+                               "--orders", f"3..{top}")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == f"J=+{top}  total: div"
+        assert all(line.endswith("PASS") for line in lines[:-1])
+
+    def test_potential_convergent_fourth_order_keeps_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--potential", "gamma=-1/2", "--l", "1",
+                               "--orders", "3..4", "--format", "json")
+        assert code == 0
+        row = json.loads(out)[-1]
+        assert row["pass"] is True and "divergent" not in row
+        assert row["reference"] == pytest.approx(1.260834, abs=1e-6)
 
     def test_potential_text_row_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--orders", "0..4")
@@ -218,10 +242,12 @@ class TestPotentialCommand:
         assert proc.returncode == 0, proc.stderr
         assert "nodes: 3" in proc.stdout
 
-    @pytest.mark.parametrize("argv", [["--nodes", "5"], ["--l", "1", "--nodes", "4"]])
+    @pytest.mark.parametrize("argv", [["gamma=1/2", "--nodes", "5"],
+                                      ["gamma=1/2", "--l", "1", "--nodes", "4"],
+                                      ["gamma=1/2", "--nodes", "6"], ["gamma=3", "--nodes", "1"]])
     def test_level_bracketed_from_mesh(self, capsys, argv):
-        code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=1/2", *argv,
-                               "--format", "json")
+        # on these default grids the node count is not monotone in the energy
+        code, out, _ = run_cli(capsys, "potential", "--potential", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["nodes"] == int(argv[-1])
 
@@ -231,6 +257,31 @@ class TestPotentialCommand:
         assert code == 0
         wide = solve_bound(power_law(Fraction(-3, 2)), 0, 1, rho_max=300.0)
         assert json.loads(out)["energy"] == pytest.approx(wide.energy, rel=1e-9)
+
+
+_POTENTIALS = st.one_of(
+    st.fractions(min_value=-2, max_value=4, max_denominator=4)
+      .filter(lambda g: g > -2 and g != 0).map(lambda g: f"gamma={g}"),
+    st.sampled_from(["coulomb", "log"]))
+
+
+class TestPotentialFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(command=st.sampled_from([["potential"], ["table", "--orders", "0..4"]]),
+           potential=_POTENTIALS, l=st.integers(0, 3), nodes=st.integers(0, 12))
+    def test_exit_contract(self, command, potential, l, nodes):
+        argv = [command[0], "--potential", potential, *command[1:],
+                "--l", str(l), "--nodes", str(nodes)]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), argv
+        assert "Traceback" not in out + err
+        if code == 1:
+            fails = [line for line in out.splitlines() if line.endswith("FAIL")]
+            errors = err.splitlines()
+            assert fails or (len(errors) == 1 and errors[0].startswith("error: ")), argv
 
 
 class TestConfigFile:

@@ -1,6 +1,5 @@
 """Generic bound-state solver, grid expectations, grid ladders."""
 
-import math
 import warnings
 from fractions import Fraction as F
 
@@ -11,13 +10,10 @@ from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
 from dipolesum.ladder import build_f_ladder
 from dipolesum.potentials import (
-    _BLOCK,
     COULOMB,
     LOG,
     MESH_SIZES,
-    _NodeCounter,
     _default_rho_max,
-    _log_grid_w,
     grid_expectation,
     grid_f_ladder,
     grid_overlap,
@@ -69,6 +65,16 @@ class TestSolveBound:
         with pytest.raises(NoBoundState):
             solve_bound(COULOMB, 0, 60, rho_max=80.0)
 
+    def test_negative_power_level_above_threshold(self):
+        # the 60-node mesh level of this box is a continuum pseudostate
+        with pytest.raises(NoBoundState, match="above the continuum threshold"):
+            solve_bound(power_law(F(-1, 2)), 0, 60, rho_max=80.0)
+
+    @pytest.mark.parametrize("nodes", [MESH_SIZES[-1] - 1, MESH_SIZES[-1]])
+    def test_level_beyond_mesh_start_rejected(self, nodes):
+        with pytest.raises(NoBoundState, match="mesh"):
+            solve_bound(power_law(2), 0, nodes)
+
     def test_steep_negative_power_tail(self):
         # levels of rho^-3/2 crowd towards 0 like n^-6: the default grid must
         # reach far enough out for the tail to die on the first attempt
@@ -86,8 +92,8 @@ class TestSolveBound:
 
     @pytest.mark.parametrize("l, nodes", [(0, 5), (1, 4)])
     def test_bracket_seeded_from_mesh(self, l, nodes):
-        # on the default grid the counts below e = -1 are spurious, so the
-        # bracket comes from the mesh levels next to the wanted one
+        # the default grid of these levels is wide (rho_max above 150): the
+        # solve there agrees with one on a narrower grid
         v0 = power_law(F(1, 2))
         st = solve_bound(v0, l, nodes)
         assert st.nodes == nodes
@@ -95,12 +101,44 @@ class TestSolveBound:
         assert st.energy == pytest.approx(narrow.energy, rel=1e-9)
 
     def test_shallow_level_bracketed_from_mesh(self):
-        # this level's tail needs rho_max ~ 1100, where the counts below
-        # e = -1 are spurious as well
+        # this level's tail needs rho_max ~ 1100
         v0 = power_law(F(-3, 2))
         st = solve_bound(v0, 0, 3)
         wide = solve_bound(v0, 0, 3, rho_max=1.5 * st.grid[-1])
         assert st.nodes == 3 and st.energy == pytest.approx(wide.energy, rel=1e-9)
+
+    @pytest.mark.parametrize("v0,l", [(COULOMB, 0), (COULOMB, 2), (power_law(2), 0),
+                                      (power_law(2), 1), (power_law(1), 0), (power_law(1), 3),
+                                      (power_law(F(1, 2)), 0), (power_law(F(1, 2)), 1),
+                                      (power_law(-1), 0), (power_law(-1), 1),
+                                      (LOG, 0), (LOG, 2)])
+    def test_levels_match_mesh(self, v0, l):
+        # the shooter returns its own Numerov eigenvalue; it lands on the
+        # mesh level it starts from, with that level's node count
+        n_levels = 8
+        rho_max = 150.0 if v0 == power_law(F(1, 2)) else _default_rho_max(v0, l, n_levels - 1)
+        mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0]
+        for k in range(n_levels):
+            st = solve_bound(v0, l, k, rho_max=rho_max)
+            assert st.nodes == k
+            assert st.energy == pytest.approx(mesh[k], rel=1e-8), k
+
+    @pytest.mark.parametrize("v0, l, nodes", [
+        *[(power_law(3), 0, k) for k in range(1, 6)],
+        (power_law(F(1, 2)), 0, 6), (power_law(F(1, 2)), 0, 7),
+        (power_law(F(1, 2)), 1, 5), (power_law(F(1, 2)), 1, 6),
+    ])
+    def test_levels_past_node_counting(self, v0, l, nodes):
+        # on these default grids the node count is not monotone in the energy
+        st = solve_bound(v0, l, nodes)
+        mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], _default_rho_max(v0, l, nodes))[0]
+        assert st.nodes == nodes
+        assert st.energy == pytest.approx(mesh[nodes], rel=1e-8)
+
+    def test_highly_excited_oscillator(self):
+        # eps = 2 n_r + 3/2 at l = 0; the Numerov step limits this level to ~1e-7
+        st = solve_bound(power_law(2), 0, 20)
+        assert st.nodes == 20 and st.energy == pytest.approx(41.5, rel=1e-6)
 
 
 class TestMesh:
@@ -155,91 +193,6 @@ class TestMesh:
                         for n in MESH_SIZES)
         gap = abs(fine - closed_form_power_law(solve_bound(LOG, 0, 0), LOG, 4))
         assert 1e-4 < gap <= abs(fine - coarse)
-
-
-def _grid(v0, l, rho_max, n_points=8192, rho_min=1e-8):
-    """The per-attempt arrays solve_bound hands to the node-count kernel."""
-    x = np.linspace(math.log(rho_min), math.log(rho_max), n_points)
-    hx = x[1] - x[0]
-    rho = np.exp(x)
-    rho2 = rho**2
-    veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
-    return rho2, veff, hx, math.exp((l + 0.5) * (x[0] - x[1]))
-
-
-def _sequential_nodes(rho2, veff, energy, hx, w0):
-    """Reference: the step-by-step forward Numerov sweep the kernel replaced.
-
-    Returns the node count and whether the sweep had to rescale past 1e250.
-    """
-    f = (1.0 - (hx * hx / 12.0) * _log_grid_w(rho2, veff, energy)).tolist()
-    nodes, rescaled = 0, False
-    wp, wc = w0, 1.0
-    for fprev, fcur, fnext in zip(f, f[1:], f[2:]):
-        wn = ((12.0 - 10.0 * fcur) * wc - fprev * wp) / fnext
-        if wn < 0.0 < wc or wc < 0.0 < wn:
-            nodes += 1
-        if abs(wn) > 1e250:
-            wn *= 1e-200
-            wc *= 1e-200
-            rescaled = True
-        wp, wc = wc, wn
-    return nodes, rescaled
-
-
-def _counts(grid, counter, energy):
-    """(kernel count, reference count, whether the reference rescaled).
-
-    One counter serves every energy on its grid, so a count that read work
-    arrays left over from an earlier energy would show here.
-    """
-    rho2, veff, hx, w0 = grid
-    return (counter.count(energy), *_sequential_nodes(rho2, veff, energy, hx, w0))
-
-
-class TestNodeCountKernel:
-    """The block kernel counts the same nodes as the sequential sweep."""
-
-    @pytest.mark.parametrize("v0,l", [(COULOMB, 0), (COULOMB, 2), (power_law(2), 0),
-                                      (power_law(2), 1), (power_law(1), 0), (power_law(1), 3),
-                                      (power_law(F(1, 2)), 0), (power_law(F(1, 2)), 1),
-                                      (power_law(-1), 0), (power_law(-1), 1),
-                                      (LOG, 0), (LOG, 2)])
-    def test_matches_sequential_sweep(self, v0, l):
-        n_levels = 8
-        # the default gamma=1/2 grid for 7 nodes is too wide to bracket from e = -1
-        rho_max = 150.0 if v0 == power_law(F(1, 2)) else _default_rho_max(v0, l, n_levels - 1)
-        grid = _grid(v0, l, rho_max)
-        counter = _NodeCounter(*grid)
-        levels = [solve_bound(v0, l, k, rho_max=rho_max).energy for k in range(n_levels)]
-        for k, e in enumerate(levels):
-            below, above = sorted([e * (1.0 - 1e-9), e * (1.0 + 1e-9)])
-            # the pair straddles the jump from k to k+1 nodes
-            assert _counts(grid, counter, below)[:2] == (k, k), e
-            assert _counts(grid, counter, above)[:2] == (k + 1, k + 1), e
-        for e in [0.5 * (a + b) for a, b in zip(levels, levels[1:])]:
-            got, want, _ = _counts(grid, counter, e)
-            assert got == want, e
-
-    def test_grid_where_sequential_sweep_rescales(self):
-        # the grid of `potential --potential gamma=1/2 --nodes 3`
-        v0 = power_law(F(1, 2))
-        grid = _grid(v0, 0, _default_rho_max(v0, 0, 3))
-        counter = _NodeCounter(*grid)
-        rescaled = False
-        for e in np.linspace(-1.0, 12.0, 27):
-            got, want, big = _counts(grid, counter, e)
-            assert got == want, e
-            rescaled |= big
-        assert rescaled
-
-    @pytest.mark.parametrize("n_points", [8, _BLOCK - 1, _BLOCK + 5, 2 * _BLOCK - 1])
-    def test_grids_of_fewer_than_two_blocks(self, n_points):
-        grid = _grid(power_law(2), 0, 6.0, n_points=n_points, rho_min=1e-2)
-        counter = _NodeCounter(*grid)
-        for e in np.linspace(-1.0, 40.0, 42):
-            got, want, _ = _counts(grid, counter, e)
-            assert got == want, e
 
 
 class TestGridExpectation:
