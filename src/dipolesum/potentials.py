@@ -12,8 +12,8 @@ The reduced radial equation solved here is
     u'' = (l(l+1)/rho^2 + 2 v0(rho) - 2 e) u,   int u^2 drho = 1.
 
 Bound states are found by Numerov integration on a log-uniform grid
-(x = log rho, w = u/sqrt(rho)): a secant on the log-derivative matching
-defect starts at the level of a Lagrange-Laguerre mesh spectrum, which fixes
+(x = log rho, w = u/sqrt(rho)): the log-derivative matching defect is
+bracketed around the level of a Lagrange-Laguerre mesh spectrum, which fixes
 the node count, and the shooter's own eigenvalue is returned.  The log grid
 resolves the rho**(l+1) origin behaviour and one policy covers every
 potential kind.
@@ -192,18 +192,23 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
 MESH_SIZES = (120, 180)
 
 
-def mesh_spectrum(v0: Potential, l: int, n: int, r_max: float):
-    """(energies, eigenvectors in columns, points r = h x) of the radial Hamiltonian on
-    the regularised n-point Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep.
-    565, 1); x are the zeros of L_n, from the Laguerre Jacobi matrix (laggauss's weights
-    overflow from n of about 180).  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
+def _mesh_hamiltonian(v0: Potential, l: int, n: int, r_max: float):
+    """(matrix, points r = h x) of the radial Hamiltonian on the regularised n-point
+    Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep. 565, 1); x are the
+    zeros of L_n, from the Laguerre Jacobi matrix (laggauss's weights overflow from n
+    of about 180).  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
     k = np.arange(n)
     x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
     h, r = r_max / x[-1], r_max / x[-1] * x
     dx = np.subtract.outer(x, x) + np.eye(n)   # 1 on the diagonal, overwritten below
     t = (-1.0) ** np.add.outer(k, k) * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
     np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
-    h_mesh = t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r))
+    return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
+
+
+def mesh_spectrum(v0: Potential, l: int, n: int, r_max: float):
+    """(energies, eigenvectors in columns, points r) of `_mesh_hamiltonian`."""
+    h_mesh, r = _mesh_hamiltonian(v0, l, n, r_max)
     return (*np.linalg.eigh(h_mesh), r)
 
 
@@ -230,7 +235,7 @@ def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> 
 def _match_defect(rho2, veff, energy, hx, w0):
     """Log-derivative mismatch at the outermost turning point.
 
-    Returns (defect, assembled w, node count, match index).  The outward and
+    Returns (defect, assembled w, node count).  The outward and
     inward Numerov loops run on Python floats read through tolist().
     """
     big_w = _log_grid_w(rho2, veff, energy)
@@ -274,13 +279,13 @@ def _match_defect(rho2, veff, energy, hx, w0):
     del f   # the float list is four times the size of w: free it before assembling w
 
     if wout[m] == 0.0 or win[1] == 0.0:
-        return math.inf, None, nodes, m
+        return math.inf, None, nodes
     scale = wout[m] / win[1]
     dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
     din = (win[2] * scale - win[0] * scale) / (2 * hx)
     defect = (dout - din) / max(abs(wout[m]), 1e-300)
     w = np.concatenate([wout[: m + 1], np.array(win[2:]) * scale])
-    return defect, w, nodes, m
+    return defect, w, nodes
 
 
 def solve_bound(
@@ -310,25 +315,41 @@ def solve_bound(
         veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
 
-        # the secant on the matching defect starts at the mesh level and its
-        # steps stay within halfway to the neighbouring mesh levels
-        e = mesh_spectrum(v0, l, size, rho_max)[0].tolist()
+        # the defect has the sign of the Wronskian of the outward and inward
+        # solutions (the inward one does not vanish in the forbidden region), so it
+        # changes sign at each shooter level and nowhere else: bracket the level
+        # within 1e-6 of the mesh level, else within halfway to the neighbouring mesh
+        # levels (or to the continuum threshold), and refine it inside the bracket
+        e = np.linalg.eigvalsh(_mesh_hamiltonian(v0, l, size, rho_max)[0]).tolist()
         if not v0.confining() and e[nodes] >= 0.0:
             raise NoBoundState("requested state above the continuum threshold")
+        e_up = e[nodes + 1] if v0.confining() else min(e[nodes + 1], 0.0)
         e_lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
-        e_hi = 0.5 * (e[nodes] + e[nodes + 1])
-        ea, eb = e[nodes], min(e[nodes] + 1e-6 * max(abs(e[nodes]), 1e-3), e_hi)
-        fa, w, nd, m = _match_defect(rho2, veff, ea, hx, w0)
-        fb = _match_defect(rho2, veff, eb, hx, w0)[0]
-        energy = ea
+        e_hi = 0.5 * (e[nodes] + e_up)
+        step = 1e-6 * max(abs(e[nodes]), 1e-3)
+        a, b = max(e[nodes] - step, e_lo), min(e[nodes] + step, e_hi)
+        fa = _match_defect(rho2, veff, a, hx, w0)[0]
+        fb = _match_defect(rho2, veff, b, hx, w0)[0]
+        if fa * fb > 0.0:   # widen below the mesh level first, then above it
+            f_lo = _match_defect(rho2, veff, e_lo, hx, w0)[0]
+            if fa * f_lo <= 0.0:
+                a, fa, b, fb = e_lo, f_lo, a, fa
+            elif fb * (f_hi := _match_defect(rho2, veff, e_hi, hx, w0)[0]) <= 0.0:
+                a, fa, b, fb = b, fb, e_hi, f_hi
+            else:
+                raise NotConverged("no level within halfway to the neighbouring mesh levels")
+        # Illinois regula falsi; each point stays tol inside the bracket, so once
+        # one end is within tol of the level the next point crosses it
+        side = 0
         for _ in range(80):
-            if fb == fa:
-                break
-            e_new = min(max(eb - fb * (eb - ea) / (fb - fa), e_lo), e_hi)
-            f_new, w, nd, m = _match_defect(rho2, veff, e_new, hx, w0)
-            ea, fa, eb, fb = eb, fb, e_new, f_new
-            energy = e_new
-            if abs(eb - ea) < rel_tol * max(abs(energy), 1e-9):
+            tol = rel_tol * max(abs(a), abs(b), 1e-9)
+            energy = min(max((a * fb - b * fa) / (fb - fa), a + tol), b - tol)
+            fc, w, nd = _match_defect(rho2, veff, energy, hx, w0)
+            if fc * fb > 0.0:   # the level is below: move b, halve fa if a is stuck
+                b, fb, fa, side = energy, fc, fa * (0.5 if side < 0 else 1.0), -1
+            else:
+                a, fa, fb, side = energy, fc, fb * (0.5 if side > 0 else 1.0), 1
+            if b - a <= 2.0 * tol:
                 break
         else:
             raise NotConverged("eigenvalue refinement did not converge")

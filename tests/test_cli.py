@@ -244,9 +244,11 @@ class TestPotentialCommand:
 
     @pytest.mark.parametrize("argv", [["gamma=1/2", "--nodes", "5"],
                                       ["gamma=1/2", "--l", "1", "--nodes", "4"],
-                                      ["gamma=1/2", "--nodes", "6"], ["gamma=3", "--nodes", "1"]])
+                                      ["gamma=1/2", "--nodes", "6"], ["gamma=3", "--nodes", "1"],
+                                      ["gamma=-7/4", "--nodes", "4"]])
     def test_level_bracketed_from_mesh(self, capsys, argv):
-        # on these default grids the node count is not monotone in the energy
+        # each level solves inside a bracket around its mesh level, with that
+        # level's node count (gamma=-7/4: the mesh level is 43 % too shallow)
         code, out, _ = run_cli(capsys, "potential", "--potential", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["nodes"] == int(argv[-1])

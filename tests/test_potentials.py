@@ -8,6 +8,7 @@ import pytest
 
 from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
+from dipolesum import potentials
 from dipolesum.ladder import build_f_ladder
 from dipolesum.potentials import (
     COULOMB,
@@ -128,12 +129,36 @@ class TestSolveBound:
         (power_law(F(1, 2)), 0, 6), (power_law(F(1, 2)), 0, 7),
         (power_law(F(1, 2)), 1, 5), (power_law(F(1, 2)), 1, 6),
     ])
-    def test_levels_past_node_counting(self, v0, l, nodes):
-        # on these default grids the node count is not monotone in the energy
+    def test_excited_levels_match_mesh(self, v0, l, nodes):
+        # excited gamma = 3 and gamma = 1/2 levels on their wide default grids
         st = solve_bound(v0, l, nodes)
         mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], _default_rho_max(v0, l, nodes))[0]
         assert st.nodes == nodes
         assert st.energy == pytest.approx(mesh[nodes], rel=1e-8)
+
+    @pytest.mark.parametrize("g, l, nodes, energy", [
+        (F(-7, 4), 0, 4, -2.011439572203e-06), (F(-7, 4), 1, 10, -4.895007303339e-12),
+        (F(-5, 3), 0, 6, -5.288655629951e-07)])
+    def test_level_far_from_mesh_level(self, g, l, nodes, energy):
+        # the N = 180 mesh resolves the inner well of these steep potentials
+        # poorly (gamma=-7/4, 4 nodes: mesh level -1.15e-6), so the start step
+        # does not bracket the level; the bracket widens to halfway to the
+        # neighbouring mesh levels.  Energies from an independent node-counting
+        # bisection
+        st = solve_bound(power_law(g), l, nodes)
+        assert st.nodes == nodes and st.energy == pytest.approx(energy, rel=1e-9)
+
+    @pytest.mark.parametrize("scale, nodes, match", [
+        (2.0, 1, "converged to 2 nodes instead of 1"),   # the bracket holds the 2-node level
+        (0.25, 4, "no level within")])                   # the bracket holds no level
+    def test_misplaced_mesh_start_raises(self, monkeypatch, scale, nodes, match):
+        # with the oscillator's mesh spectrum scaled away from the true levels
+        # the solver raises instead of returning a bracket end or a wrong level
+        hamiltonian = potentials._mesh_hamiltonian
+        monkeypatch.setattr(potentials, "_mesh_hamiltonian",
+                            lambda *args: (scale * hamiltonian(*args)[0], None))
+        with pytest.raises(NotConverged, match=match):
+            solve_bound(power_law(2), 0, nodes)
 
     def test_highly_excited_oscillator(self):
         # eps = 2 n_r + 3/2 at l = 0; the Numerov step limits this level to ~1e-7
