@@ -140,8 +140,8 @@ def polyexp_values(poly: PolyExp, norm2, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _z2_factors(state: BoundState, to_n: int, chan: Channel) -> tuple[Fraction, Fraction, int]:
-    """Split |<n,l| z |to_n, l'>|^2 = small * ratio**power exactly.
+def _z2_factors(state: BoundState, to_n: int, chan: Channel) -> tuple[int, int, int]:
+    """Split |<n,l| z |to_n, l'>|^2 = (num / den) * ratio**power in integers.
 
     With m = state.n, s = 1/m + 1/to_n and d = s - 2/to_n, every term of the
     collapsed Laplace-Laguerre moment
@@ -152,9 +152,10 @@ def _z2_factors(state: BoundState, to_n: int, chan: Channel) -> tuple[Fraction, 
 
     equals (d/s)^(k-i) / s^(2l'+2+j) times small integers, and d/s is
     ratio = (to_n - m)/(to_n + m).  The common factor ratio^shift, with
-    shift = max(0, k - j_max), holds all the digits that grow with to_n;
-    what is left is a sum of j+1 small rationals per polynomial term.  At
-    to_n = m the ratio is 0, shift is 0 and only the i = k terms survive.
+    shift = max(0, k - j_max), holds all the digits that grow with to_n.
+    Over (to_n + m)^(t+2l'+2+j_max), t = k - shift, and the radial lcm the
+    rest is an integer sum, folded with all other factors into num / den.
+    At to_n = m the ratio is 0, shift is 0 and only the i = k terms survive.
     """
     if chan.l != state.l:
         raise InvalidQuantumNumbers("channel does not start at the state's l")
@@ -163,52 +164,51 @@ def _z2_factors(state: BoundState, to_n: int, chan: Channel) -> tuple[Fraction, 
         raise InvalidQuantumNumbers(f"no target state ({to_n}, {lp})")
     m, n = state.n, to_n
     k = n - lp - 1
-    alpha = 2 * lp + 1
-    b = alpha + k + 1
-    s = Fraction(n + m, m * n)
-    ratio = Fraction(n - m, n + m)
-    shift = max(0, k - (state.radial.max_exponent() - lp + 1))
-    total = Fraction(0)
+    b = k + 2 * lp + 2
+    j_max = state.radial.max_exponent() - lp + 1
+    shift = max(0, k - j_max)
+    t, d, s = k - shift, n - m, n + m
+    lcm = math.lcm(*(c.denominator for _, c in state.radial.terms))
+    total = 0
     for e, c in state.radial.terms:
         j = e - lp + 1
-        acc = Fraction(0)
-        for i in range(min(j, k) + 1):
-            acc += ((-1) ** i * math.comb(j, i) * math.perm(k, i) * math.perm(b + j - i - 1, j - i)
-                    * ratio ** (k - i - shift))
-        total += c * acc / s ** (2 * lp + 2 + j)
-    total *= math.perm(k + alpha, alpha)
-    lam = Fraction(2, n)
-    csq = Fraction(1, n * n * math.perm(n + lp, 2 * lp + 1))
-    small = chan.weight * total**2 * lam ** (2 * lp + 2) * csq * state.norm2
-    return small, ratio, 2 * shift
+        acc = sum((-1) ** i * math.comb(j, i) * math.perm(k, i) * math.perm(b + j - i - 1, j - i)
+                  * d ** (t - i) * s**i for i in range(min(j, k) + 1))
+        total += c.numerator * (lcm // c.denominator) * (m * n) ** j * s ** (j_max - j) * acc
+    # prod(k+i)^2 C_l'^2 = prod(k+i) / to_n^2; the (m to_n)^(2l'+2) left out
+    # of total meets (2/to_n)^(2l'+2) / to_n^2 as m^(4l'+4) to_n^(2l')
+    num = (chan.weight.numerator * state.norm2.numerator * 2 ** (2 * lp + 2)
+           * math.perm(n + lp, 2 * lp + 1) * m ** (4 * lp + 4) * n ** (2 * lp) * total**2)
+    den = chan.weight.denominator * state.norm2.denominator * (lcm * s ** (t + 2 * lp + 2 + j_max)) ** 2
+    return num, den, 2 * shift
 
 
 def bound_bound_z2(state: BoundState, to_n: int, chan: Channel) -> Fraction:
     """Exact squared dipole matrix element |<n,l| z |to_n, l+-1>|^2.
 
     Value equals chan.weight * (int u_from rho u_to drho)^2.  Exact finish of
-    the factored kernel _z2_factors: small * ratio**power, cheap for to_n in
-    the thousands although the result then has tens of thousands of digits.
-    bound_bound_z2_overlap is the direct route for cross-checks.
+    the factored kernel _z2_factors: Fraction(num, den) * ratio**power, one
+    gcd for the prefactor, cheap for to_n in the thousands although the
+    result has tens of thousands of digits.  bound_bound_z2_overlap is the
+    direct route for cross-checks.
     """
-    small, ratio, power = _z2_factors(state, to_n, chan)
-    return small * ratio**power
+    num, den, power = _z2_factors(state, to_n, chan)
+    return Fraction(num, den) * Fraction(to_n - state.n, to_n + state.n) ** power
 
 
 def bound_bound_z2_float(state: BoundState, to_n: int, chan: Channel) -> float:
     """Float finish of the factored kernel: float(bound_bound_z2) to a few ulp.
 
-    The giant power is taken as exp(power * log1p(-2 min(n, m)/(n + m))), the
-    log of |ratio|; its rounding error grows like 4 m eps (m = state.n), and
-    the measured relative gap to float(bound_bound_z2) is below 3.2e-15 for
-    m <= 5 up to to_n = 2000.  float(small) overflows, loudly, once
-    exp(4 m) leaves the float range (m above about 170).
+    The integer prefactor num / den is rounded once (int true division rounds
+    correctly, as float(Fraction) does); the only float error is the power,
+    exp(power * log1p(-2 min(n, m)/(n + m))) with the log of |ratio|, whose
+    error grows like 4 m eps (m = state.n): below 3.2e-15 relative for
+    m <= 5 up to to_n = 2000.  It overflows, loudly, for m above about 170.
     """
-    small, _, power = _z2_factors(state, to_n, chan)
+    num, den, power = _z2_factors(state, to_n, chan)
     if power == 0:
-        return float(small)
-    m = state.n
-    return float(small) * math.exp(power * math.log1p(-2 * min(to_n, m) / (to_n + m)))
+        return num / den
+    return num / den * math.exp(power * math.log1p(-2 * min(to_n, state.n) / (to_n + state.n)))
 
 
 def bound_bound_z2_overlap(state: BoundState, to_n: int, chan: Channel) -> Fraction:

@@ -3,9 +3,10 @@
 Discrete parts sum squared matrix elements over the first n_max levels
 (n_max = 2000 by default, matching the reference splits, which are truncated
 sums).  Each element is the float finish of the exact factored kernel
-(hydrogen.bound_bound_z2_float): the small exact prefactor is rounded once and
-the giant power of (n-m)/(n+m) is taken through log1p, so no alternating sum
-is ever done in floating point and every element stays within a few ulp of
+(hydrogen.bound_bound_z2_float): the small prefactor, a ratio of two integers,
+is rounded once and the giant power of (n-m)/(n+m) goes through log1p, the
+only float error; no alternating sum is done in floating point, and each
+element stays within a few ulp of the rounded exact value,
 float(bound_bound_z2).  Continuum parts integrate |<m,l|z|q,l'>|^2 against
 (k_m^2 + q^2)^J with the substitution q = k_m tan(u) on composite
 Gauss-Legendre panels over the whole of u in [0, pi/2): no cutoff in q and no

@@ -339,10 +339,11 @@ def solve_bound(
             else:
                 raise NotConverged("no level within halfway to the neighbouring mesh levels")
         # Illinois regula falsi; each point stays tol inside the bracket, so once
-        # one end is within tol of the level the next point crosses it
+        # one end is within tol of the level the next point crosses it.  The floor,
+        # a thousandth of the mesh level, binds only for a bracket about zero
         side = 0
         for _ in range(80):
-            tol = rel_tol * max(abs(a), abs(b), 1e-9)
+            tol = rel_tol * max(abs(a), abs(b), 1e-3 * abs(e[nodes]))
             energy = min(max((a * fb - b * fa) / (fb - fa), a + tol), b - tol)
             fc, w, nd = _match_defect(rho2, veff, energy, hx, w0)
             if fc * fb > 0.0:   # the level is below: move b, halve fa if a is stuck

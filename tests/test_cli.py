@@ -25,7 +25,7 @@ from dipolesum.errors import (
     NotConverged,
     QuadratureNotConverged,
 )
-from dipolesum.hydrogen import bound_bound_z2, bound_state, channel
+from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_float, bound_state, channel
 from dipolesum.potentials import power_law, solve_bound
 
 
@@ -267,6 +267,24 @@ _POTENTIALS = st.one_of(
     st.sampled_from(["coulomb", "log"]))
 
 
+def _run_in_process(argv):
+    """Run the CLI and check what every command keeps of the exit-code contract:
+    no traceback, exit 1 only with FAIL rows or one "error:" line, and a usage
+    error (exit 2) as one "error:" line.  Returns (exit code, stdout)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, argv
+    errors = err.splitlines()
+    one_error = len(errors) == 1 and errors[0].startswith("error: ")
+    if code == 1:
+        assert one_error or any(line.endswith("FAIL") for line in out.splitlines()), argv
+    elif code == 2:
+        assert one_error, argv
+    return code, out
+
+
 class TestPotentialFuzz:
     @settings(max_examples=25, deadline=None)
     @given(command=st.sampled_from([["potential"], ["table", "--orders", "0..4"]]),
@@ -274,16 +292,39 @@ class TestPotentialFuzz:
     def test_exit_contract(self, command, potential, l, nodes):
         argv = [command[0], "--potential", potential, *command[1:],
                 "--l", str(l), "--nodes", str(nodes)]
-        out, err = StringIO(), StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        out, err = out.getvalue(), err.getvalue()
+        code, _ = _run_in_process(argv)
         assert code in (0, 1), argv
-        assert "Traceback" not in out + err
-        if code == 1:
-            fails = [line for line in out.splitlines() if line.endswith("FAIL")]
-            errors = err.splitlines()
-            assert fails or (len(errors) == 1 and errors[0].startswith("error: ")), argv
+
+
+# every Coulomb state selector with n <= 5
+_STATES = [(n, l) for n in range(1, 6) for l in range(n)]
+
+
+class TestCoulombFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(state=st.sampled_from(_STATES), to_n=st.integers(1, 3000),
+           direction=st.sampled_from(["plus", "minus"]))
+    def test_matrix_exit_contract(self, state, to_n, direction):
+        n, l = state
+        lp = l + 1 if direction == "plus" else l - 1
+        code, out = _run_in_process(["matrix", "--state", f"{n}{'spdfg'[l]}", "--to-n", str(to_n),
+                                     "--channel", direction, "--format", "json"])
+        # a usage error exactly when (to_n, l') is no dipole partner; else the
+        # exact element, which the float finish matches
+        assert code == (2 if lp < 0 or to_n < lp + 1 else 0)
+        if code == 0:
+            want = bound_bound_z2_float(bound_state(n, l), to_n, channel(direction, l))
+            assert json.loads(out)["z2_float"] == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(state=st.sampled_from(_STATES), lo=st.integers(-13, 9), width=st.integers(-1, 3),
+           direction=st.sampled_from(["both", "plus", "minus", "total"]))
+    def test_table_exit_contract(self, state, lo, width, direction):
+        n, l = state
+        code, _ = _run_in_process(["table", "--state", f"{n}{'spdfg'[l]}",
+                                   f"--orders={lo}..{lo + width}", "--channel", direction])
+        # usage errors: an empty order range and the minus channel of an s state
+        assert (code == 2) == (width < 0 or (l == 0 and direction == "minus"))
 
 
 class TestConfigFile:

@@ -1,6 +1,8 @@
 """Coulomb states: exact bound-state algebra and continuum calibration."""
 
+import hashlib
 import math
+import struct
 from fractions import Fraction as F
 
 import numpy as np
@@ -106,8 +108,15 @@ class TestBoundBound:
             bound_bound_z2(bound_state(2, 1), 2, channel("plus", 1))
 
 
-KERNEL_CHANNELS = [(1, 0, "plus"), (2, 0, "plus"), (2, 1, "plus"), (2, 1, "minus"),
-                   (3, 2, "plus"), (3, 2, "minus"), (4, 1, "minus"), (4, 3, "minus")]
+# every (n, l, channel) with n <= 5
+KERNEL_CHANNELS = [(n, l, d) for n in range(1, 6) for l in range(n)
+                   for d in ("plus", "minus") if l > 0 or d == "plus"]
+
+# sha256 of bound_bound_z2_float over to_n = l'+1..2000 for 1s+, 2s+, 2p+ and
+# 2p- (the paper-tables sums), packed as little-endian doubles.  Recorded from
+# a kernel that summed Fraction terms and rounded float(Fraction) once, on
+# glibc's exp and log1p
+FLOAT_TABLES_SHA256 = "db68ae70dc1d6fe5704723e505d5b6cba55122a091196b1dccfd52122b381d62"
 
 
 class TestFactoredKernel:
@@ -120,25 +129,35 @@ class TestFactoredKernel:
             got = bound_bound_z2_float(st, to_n, ch)
             assert abs(got - want) <= 1e-13 * abs(want), (to_n, got, want)
 
-    @pytest.mark.parametrize("n,l,direction", [(2, 1, "minus"), (2, 0, "plus"), (3, 1, "plus"),
-                                               (3, 1, "minus"), (3, 2, "minus"), (4, 3, "minus"),
-                                               (5, 2, "plus")])
+    def test_float_tables_bit_identical(self):
+        digest = hashlib.sha256()
+        for n, l, direction in [(1, 0, "plus"), (2, 0, "plus"), (2, 1, "plus"), (2, 1, "minus")]:
+            st, ch = bound_state(n, l), channel(direction, l)
+            for to_n in range(ch.target_l + 1, 2001):
+                digest.update(struct.pack("<d", bound_bound_z2_float(st, to_n, ch)))
+        assert digest.hexdigest() == FLOAT_TABLES_SHA256
+
+    # the channels whose target shell includes the level n itself
+    @pytest.mark.parametrize("n,l,direction", [c for c in KERNEL_CHANNELS
+                                               if c[2] == "minus" or c[1] < c[0] - 1])
     def test_degenerate_target(self, n, l, direction):
         st, ch = bound_state(n, l), channel(direction, l)
-        small, ratio, power = _z2_factors(st, n, ch)
-        assert ratio == 0 and power == 0
+        num, den, power = _z2_factors(st, n, ch)
+        assert power == 0
         exact = bound_bound_z2(st, n, ch)
-        assert exact == small == bound_bound_z2_overlap(st, n, ch)
+        assert exact == F(num, den) == bound_bound_z2_overlap(st, n, ch)
         assert bound_bound_z2_float(st, n, ch) == float(exact)
 
     def test_giant_power_factored_out(self):
         # all digits that grow with to_n sit in ratio**power; the power is
-        # 2 (k - j_max) with k = 2000 - l' - 1 and j_max = 2 - l' + 1
+        # 2 (k - j_max) with k = 2000 - l' - 1 and j_max = 2 - l' + 1, and the
+        # prefactor is an integer ratio
         st, ch = bound_state(2, 1), channel("minus", 1)
-        small, ratio, power = _z2_factors(st, 2000, ch)
-        assert ratio == F(1998, 2002) and power == 2 * (1999 - 3)
+        num, den, power = _z2_factors(st, 2000, ch)
+        assert type(num) is int and type(den) is int and power == 2 * (1999 - 3)
+        small = F(num, den)
         exact = bound_bound_z2(st, 2000, ch)
-        assert exact == small * ratio**power
+        assert exact == small * F(1998, 2002) ** power
         assert small.numerator.bit_length() < 200 < 20000 < exact.numerator.bit_length()
 
     def test_exact_finish_at_large_n(self):

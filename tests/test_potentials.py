@@ -148,6 +148,16 @@ class TestSolveBound:
         st = solve_bound(power_law(g), l, nodes)
         assert st.nodes == nodes and st.energy == pytest.approx(energy, rel=1e-9)
 
+    @pytest.mark.parametrize("l, nodes, energy", [(3, 12, -9.720243965898e-15),
+                                                  (2, 12, -7.610103712194e-14)])
+    def test_tiny_level_converges_relative(self, l, nodes, energy):
+        # |E| far below 1e-9: the refinement tolerance follows the level, so it
+        # converges as tightly as a deep one (an absolute floor of 1e-21 left the
+        # l = 3 level 9e-8 relative off).  Energies from an independent
+        # node-counting bisection
+        st = solve_bound(power_law(F(-7, 4)), l, nodes)
+        assert st.nodes == nodes and st.energy == pytest.approx(energy, rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("scale, nodes, match", [
         (2.0, 1, "converged to 2 nodes instead of 1"),   # the bracket holds the 2-node level
         (0.25, 4, "no level within")])                   # the bracket holds no level
