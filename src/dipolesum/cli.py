@@ -17,8 +17,11 @@ output is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -477,6 +480,24 @@ def _with_config(tokens: list[str], args, config: dict[str, str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its output once it is complete, so a reader
+    that closes stdout early cannot change the exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _run(argv)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered, and the flush at exit,
+        # go to /dev/null instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     tokens = list(argv) if argv is not None else sys.argv[1:]
     try:

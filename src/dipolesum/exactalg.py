@@ -73,16 +73,17 @@ def polyexp(coeffs: Mapping[int, object] | Iterable[tuple[int, object]], rate) -
         c = Fraction(c)
         if c != 0:
             acc[int(e)] = acc.get(int(e), Fraction(0)) + c
+    return _stored(acc, rate)
+
+
+def _stored(acc: Mapping[int, Fraction], rate: Fraction) -> PolyExp:
+    """Sorted, zero-pruned terms of a stored function, held to the exponent floor."""
     terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
     if terms and terms[0][0] < MIN_EXPONENT:
         raise ExponentFloorExceeded(
             f"minimum exponent {terms[0][0]} below floor {MIN_EXPONENT}"
         )
     return PolyExp(terms=terms, rate=rate)
-
-
-def monomial(exponent: int, coefficient, rate) -> PolyExp:
-    return polyexp({exponent: coefficient}, rate)
 
 
 def add(f: PolyExp, g: PolyExp) -> PolyExp:
@@ -145,19 +146,45 @@ def origin_limit(f: PolyExp) -> Fraction | None:
     return f.coeff(0)
 
 
-def integrate(f: PolyExp) -> Fraction:
-    """Exact int_0^inf f drho via int rho^n exp(-a rho) = n!/a^(n+1)."""
-    total = Fraction(0)
-    for e, c in f.terms:
+def _cleared(f: PolyExp) -> tuple[list[tuple[int, int]], int]:
+    """f's coefficients as integers over their least common denominator."""
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    return [(e, c.numerator * (den // c.denominator)) for e, c in f.terms], den
+
+
+def _integral(terms: list[tuple[int, int]], den: int, rate: Fraction) -> Fraction:
+    """int_0^inf sum_e n_e rho^e exp(-rate rho) drho / den for integer n_e.
+
+    With rate = p/q and top exponent E this is
+    sum_e n_e e! q^(e+1) p^(E-e) / (den p^(E+1)): one Fraction at the end.
+    """
+    for e, _ in terms:
         if e < 0:
             raise DivergentAtOrigin(f"term rho^{e} is not integrable at the origin")
-        total += c * math.factorial(e) / f.rate ** (e + 1)
-    return total
+    p, q = rate.numerator, rate.denominator
+    top = max((e for e, _ in terms), default=0)
+    num = sum(n * math.factorial(e) * q ** (e + 1) * p ** (top - e) for e, n in terms)
+    return Fraction(num, den * p ** (top + 1))
+
+
+def integrate(f: PolyExp) -> Fraction:
+    """Exact int_0^inf f drho via int rho^n exp(-a rho) = n!/a^(n+1)."""
+    return _integral(*_cleared(f), f.rate)
 
 
 def overlap(f: PolyExp, g: PolyExp) -> Fraction:
-    """Exact int_0^inf f g drho.  Rates need not match (they add)."""
-    return integrate(mul(f, g))
+    """Exact int_0^inf f g drho.  Rates need not match (they add).
+
+    The cleared integer coefficients are convolved; exact cancellations are
+    pruned before the origin check, as in integrate(mul(f, g)).
+    """
+    (nf, df), (ng, dg) = _cleared(f), _cleared(g)
+    acc: dict[int, int] = {}
+    for e1, c1 in nf:
+        for e2, c2 in ng:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    terms = sorted((e, c) for e, c in acc.items() if c)
+    return _integral(terms, df * dg, f.rate + g.rate)
 
 
 def apply_h(f: PolyExp, l: int, ksq, v0: Potential) -> PolyExp:
@@ -166,30 +193,25 @@ def apply_h(f: PolyExp, l: int, ksq, v0: Potential) -> PolyExp:
         (-d^2/drho^2 + l(l+1)/rho^2 + 2 v0 + ksq) f
 
     exactly; one rung of the positive ladder.  Requires a potential whose
-    product with a Laurent polynomial stays polynomial.
+    product with a Laurent polynomial stays polynomial, 2 v0 = c rho^k.  Term
+    by term rho^e maps to (l(l+1) - e(e-1)) rho^(e-2) + 2 a e rho^(e-1)
+    + (ksq - a^2) rho^e + c rho^(e+k); summed on f's cleared integers.
     """
     pshift = v0.polyexp_shift()
     if pshift is None:
         raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
     k, cpot = pshift
-    ksq = Fraction(ksq)
-    lam = Fraction(l * (l + 1))
-    acc: dict[int, Fraction] = {}
-
-    def put(e: int, c: Fraction) -> None:
-        if c != 0:
-            acc[e] = acc.get(e, Fraction(0)) + c
-
     a = f.rate
-    for e, c in f.terms:
-        # -(p'' - 2 a p' + a^2 p) term by term for c rho^e
-        put(e - 2, -c * e * (e - 1))
-        put(e - 1, 2 * a * e * c)
-        put(e, -a * a * c)
-        put(e - 2, lam * c)
-        put(e + k, cpot * c)
-        put(e, ksq * c)
-    return polyexp(acc, a)
+    gap = Fraction(ksq) - a * a
+    terms, den = _cleared(f)
+    m = a.denominator * gap.denominator * cpot.denominator   # makes 2a, gap, cpot integers
+    two_a, gap_m, cpot_m = (int(x * m) for x in (2 * a, gap, cpot))
+    acc: dict[int, int] = {}
+    for e, n in terms:
+        for r, x in ((e - 2, (l * (l + 1) - e * (e - 1)) * m), (e - 1, two_a * e),
+                     (e, gap_m), (e + k, cpot_m)):
+            acc[r] = acc.get(r, 0) + n * x
+    return _stored({r: Fraction(x, den * m) for r, x in acc.items()}, a)
 
 
 def solve_inhomogeneous(
@@ -201,10 +223,14 @@ def solve_inhomogeneous(
 ) -> PolyExp:
     """Unique G with (h_l + ksq) G = rhs, regular at the origin and decaying.
 
-    Undetermined coefficients over rho^(l+1..deg+2) exp(-a rho).  When a
-    normalizable homogeneous solution exists the caller supplies it; the
-    right-hand side must already be orthogonal to it and the returned G is
-    fixed by <homogeneous|G> = 0.
+    Undetermined coefficients over rho^(l+1..deg+2) exp(-a rho).  As ksq = a^2
+    the image of rho^e (see apply_h) has no rho^e term, so column e leads at
+    row e + max(k, -1): the system is triangular and is back-substituted from
+    the top exponent down.  Rows no column leads must come out zero.  A column
+    whose leading coefficient vanishes (Coulomb: e = 1/a) is the direction of
+    a normalizable homogeneous solution; the caller supplies that solution,
+    the right-hand side must already be orthogonal to it, and the returned G
+    is fixed by <homogeneous|G> = 0.
     """
     ksq = Fraction(ksq)
     a = rhs.rate
@@ -212,73 +238,46 @@ def solve_inhomogeneous(
         raise NoPolynomialSolution(
             f"rhs rate {a} is not the bound rate for ksq={ksq}"
         )
-    if v0.polyexp_shift() is None:
+    pshift = v0.polyexp_shift()
+    if pshift is None:
         raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
     if homogeneous is not None and overlap(homogeneous, rhs) != 0:
         raise ResonanceUnprojected("rhs has a component along the homogeneous solution")
     if rhs.is_zero():
         return PolyExp(terms=(), rate=a)
 
-    e_lo = l + 1
-    e_hi = max(rhs.max_exponent() + 2, e_lo)
-    basis = list(range(e_lo, e_hi + 1))
-    images = [apply_h(monomial(e, 1, a), l, ksq, v0) for e in basis]
-
-    row_exps = sorted(
-        {e for img in images for e, _ in img.terms} | {e for e, _ in rhs.terms}
-    )
-    nrow, ncol = len(row_exps), len(basis)
-    row_of = {e: i for i, e in enumerate(row_exps)}
-    mat = [[Fraction(0)] * (ncol + 1) for _ in range(nrow)]
-    for j, img in enumerate(images):
-        for e, c in img.terms:
-            mat[row_of[e]][j] = c
-    for e, c in rhs.terms:
-        mat[row_of[e]][ncol] = c
-    if homogeneous is not None:
-        row = [overlap(homogeneous, monomial(e, 1, a)) for e in basis]
-        row.append(Fraction(0))
-        mat.append(row)
-        nrow += 1
-
-    # exact Gaussian elimination
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(ncol):
-        pr = next((i for i in range(r, nrow) if mat[i][c] != 0), None)
-        if pr is None:
+    k, cpot = pshift
+    lead = max(k, -1)
+    res, coeffs, free = dict(rhs.terms), {}, None
+    for e in range(max(rhs.max_exponent() + 2, l + 1), l, -1):
+        img = {e - 2: l * (l + 1) - e * (e - 1), e - 1: 2 * a * e}
+        img[e + k] = img.get(e + k, 0) + cpot
+        if img[e + lead] == 0:
+            free = e
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [x / piv for x in mat[r]]
-        for i in range(nrow):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, nrow):
-        if mat[i][ncol] != 0:
-            raise NoPolynomialSolution("inconsistent linear system for the ansatz")
-    if len(pivots) < ncol:
-        free = set(range(ncol)) - {c for _, c in pivots}
-        raise NoPolynomialSolution(
-            f"solution not unique (free directions {sorted(free)}); "
-            "a normalizable homogeneous solution must be supplied"
-        )
-    coeffs = {basis[c]: mat[i][ncol] for i, c in pivots}
+        c = res.get(e + lead, 0) / img[e + lead]
+        if c:
+            coeffs[e] = c
+            for r, x in img.items():
+                res[r] = res.get(r, 0) - c * x
+    if any(res.values()):
+        raise NoPolynomialSolution("inconsistent linear system for the ansatz")
     sol = polyexp(coeffs, a)
+    if free is not None:
+        if homogeneous is None:
+            raise NoPolynomialSolution(f"solution not unique (free direction rho^{free}); "
+                                       "a normalizable homogeneous solution must be supplied")
+        # the free direction is the homogeneous solution itself
+        along = overlap(homogeneous, sol) / overlap(homogeneous, homogeneous)
+        sol = sub(sol, scale(homogeneous, along))
     if not sub(apply_h(sol, l, ksq, v0), rhs).is_zero():
         raise NoPolynomialSolution("verification failed: (h + ksq) G != rhs")
     return sol
 
 
 def normed_equal(f: PolyExp, nf, g: PolyExp, ng) -> bool:
-    """Whether f*sqrt(nf) and g*sqrt(ng) are the same function.
-
-    True when f = c g with rational c > 0 and c^2 nf == ng ... inverted:
-    c^2 * nf == ng is required with g = c f.
-    """
+    """Whether f*sqrt(nf) and g*sqrt(ng) are the same function: g = c f with
+    rational c > 0 and nf == c^2 ng."""
     nf, ng = Fraction(nf), Fraction(ng)
     if f.is_zero() or g.is_zero():
         return f.is_zero() and g.is_zero()

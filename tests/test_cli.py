@@ -211,6 +211,29 @@ class TestExitCodes:
             assert code == 2, argv
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_keeps_the_verdict(self, unbuffered):
+        # A one-page pipe cannot take the 4.8 kB table, so the reader reads one
+        # line and closes the pipe while the command is still writing.
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("setting the pipe size is Linux-only")
+        read_fd, write_fd = os.pipe()
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(Path(dipolesum.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen([sys.executable, "-m", "dipolesum", "table", "--state", "1s",
+                                 "--orders=-13..3", "--format", "json"],
+                                stdout=write_fd, stderr=subprocess.PIPE, env=env)
+        os.close(write_fd)
+        with open(read_fd, "rb", buffering=0) as reader:
+            first = reader.readline()
+        _, err = proc.communicate(timeout=300)
+        assert first == b"[\n"
+        assert err == b""
+        assert proc.returncode == 0
+
 
 class TestKramers:
     def test_exact_state_residuals(self, capsys):

@@ -1,5 +1,6 @@
 """Exact algebra over p(rho) exp(-a rho): golden values and invariants."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from dipolesum.errors import (
     RateMismatch,
     ResonanceUnprojected,
 )
+from dipolesum.hydrogen import bound_state
 from dipolesum.potentials import COULOMB, LOG, power_law
 
 
@@ -181,3 +183,172 @@ def test_solve_then_apply_roundtrip(rhs):
     sol = xa.solve_inhomogeneous(projected, 1, F(1, 4), COULOMB, homogeneous=hom)
     assert xa.sub(xa.apply_h(sol, 1, F(1, 4), COULOMB), projected).is_zero()
     assert xa.overlap(hom, sol) == 0
+
+
+# ---------------------------------------------------------------------------
+# reference fuzz: the integer kernels and the triangular solve against the
+# per-term Fraction integral and the dense Gauss-Jordan solve they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_integrate(f):
+    total = F(0)
+    for e, c in f.terms:
+        if e < 0:
+            raise DivergentAtOrigin(f"term rho^{e} is not integrable at the origin")
+        total += c * math.factorial(e) / f.rate ** (e + 1)
+    return total
+
+
+def ref_overlap(f, g):
+    return ref_integrate(xa.mul(f, g))
+
+
+def ref_apply_h(f, l, ksq, v0):
+    pshift = v0.polyexp_shift()
+    if pshift is None:
+        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
+    k, cpot = pshift
+    ksq, lam, a = F(ksq), F(l * (l + 1)), f.rate
+    acc = {}
+
+    def put(e, c):
+        if c != 0:
+            acc[e] = acc.get(e, F(0)) + c
+
+    for e, c in f.terms:
+        put(e - 2, -c * e * (e - 1))
+        put(e - 1, 2 * a * e * c)
+        put(e, -a * a * c)
+        put(e - 2, lam * c)
+        put(e + k, cpot * c)
+        put(e, ksq * c)
+    return xa.polyexp(acc, a)
+
+
+def ref_solve(rhs, l, ksq, v0, homogeneous=None):
+    """Dense exact Gauss-Jordan elimination over the full ansatz."""
+    ksq = F(ksq)
+    a = rhs.rate
+    if a * a != ksq:
+        raise NoPolynomialSolution(f"rhs rate {a} is not the bound rate for ksq={ksq}")
+    if v0.polyexp_shift() is None:
+        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
+    if homogeneous is not None and ref_overlap(homogeneous, rhs) != 0:
+        raise ResonanceUnprojected("rhs has a component along the homogeneous solution")
+    if rhs.is_zero():
+        return xa.PolyExp(terms=(), rate=a)
+    basis = list(range(l + 1, max(rhs.max_exponent() + 2, l + 1) + 1))
+    images = [ref_apply_h(xa.polyexp({e: 1}, a), l, ksq, v0) for e in basis]
+    row_exps = sorted({e for img in images for e, _ in img.terms} | {e for e, _ in rhs.terms})
+    nrow, ncol = len(row_exps), len(basis)
+    row_of = {e: i for i, e in enumerate(row_exps)}
+    mat = [[F(0)] * (ncol + 1) for _ in range(nrow)]
+    for j, img in enumerate(images):
+        for e, c in img.terms:
+            mat[row_of[e]][j] = c
+    for e, c in rhs.terms:
+        mat[row_of[e]][ncol] = c
+    if homogeneous is not None:
+        mat.append([ref_overlap(homogeneous, xa.polyexp({e: 1}, a)) for e in basis] + [F(0)])
+        nrow += 1
+    pivots = []
+    r = 0
+    for c in range(ncol):
+        pr = next((i for i in range(r, nrow) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(nrow):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+    if any(mat[i][ncol] != 0 for i in range(r, nrow)):
+        raise NoPolynomialSolution("inconsistent linear system for the ansatz")
+    if len(pivots) < ncol:
+        raise NoPolynomialSolution("solution not unique")
+    sol = xa.polyexp({basis[c]: mat[i][ncol] for i, c in pivots}, a)
+    if not xa.sub(ref_apply_h(sol, l, ksq, v0), rhs).is_zero():
+        raise NoPolynomialSolution("verification failed: (h + ksq) G != rhs")
+    return sol
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the exception type and the first word of its message."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc).split()[0]
+
+
+def laurent(rate, lo=-2, hi=7):
+    """Sparse Laurent polynomials with exponents in lo..hi, zero included."""
+    return st.builds(
+        lambda d, r: xa.polyexp(d, r),
+        st.dictionaries(st.integers(min_value=lo, max_value=hi), coeffs, max_size=6),
+        rate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent(rates, lo=-3), laurent(rates, lo=-3))
+def test_overlap_and_integrate_match_reference(f, g):
+    assert outcome(xa.overlap, f, g) == outcome(ref_overlap, f, g)
+    assert outcome(xa.integrate, f) == outcome(ref_integrate, f)
+    assert outcome(xa.integrate, xa.mul(f, g)) == outcome(ref_integrate, xa.mul(f, g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent(rates), st.integers(min_value=0, max_value=4),
+       st.sampled_from([F(0), F(1, 4), F(1), F(-2, 9)]),
+       st.sampled_from([COULOMB, power_law(1), power_law(2), power_law(-1), LOG]))
+def test_apply_h_matches_reference(f, l, ksq, v0):
+    assert outcome(xa.apply_h, f, l, ksq, v0) == outcome(ref_apply_h, f, l, ksq, v0)
+
+
+mostly = st.sampled_from([True, True, True, False])
+#: (project the rhs, supply the homogeneous solution); the ladder's case first
+MODES = [(True, True), (True, True), (True, False), (False, True), (False, False)]
+#: at times one extra low term: a negative power, or rho^0 (below every row the
+#: ansatz reaches once l > 0)
+low_terms = st.sampled_from([None, None, -3, -1, 0]).map(
+    lambda e: xa.polyexp({} if e is None else {e: 1}, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4),
+       laurent(st.just(F(1)), lo=0, hi=6), low_terms, mostly, st.sampled_from(MODES))
+def test_coulomb_solve_matches_dense_reference(n, l, raw, low, right_rate, mode):
+    """Coulomb channels with l = 0..4 at n = 1..6, with and without a
+    normalizable homogeneous solution, projected or not, rate right or wrong.
+    Exponents are drawn from l up, where the ansatz first reaches, plus
+    at times one term below."""
+    project, supply = mode
+    rate = F(1, n) if right_rate else F(1, n + 1)
+    rhs = xa.PolyExp(xa.add(xa.shift(raw, l), low).terms, rate)
+    hom = bound_state(n, l).radial if l < n else None
+    if project and hom is not None and right_rate and not rhs.is_zero() \
+            and rhs.min_exponent() > -l - 2:
+        rhs = xa.sub(rhs, xa.scale(hom, ref_overlap(hom, rhs) / ref_overlap(hom, hom)))
+    kw = {"homogeneous": hom} if supply else {}
+    got = outcome(xa.solve_inhomogeneous, rhs, l, F(1, n * n), COULOMB, **kw)
+    assert got == outcome(ref_solve, rhs, l, F(1, n * n), COULOMB, **kw)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2, -1]), st.integers(min_value=0, max_value=4), rates,
+       laurent(st.just(F(1)), lo=-3, hi=6), mostly)
+def test_power_law_solve_matches_dense_reference(gamma, l, rate, raw, right_rate):
+    rhs = xa.PolyExp(xa.shift(raw, l + 1).terms, rate)
+    ksq = rate * rate if right_rate else rate * rate + 1
+    got = outcome(xa.solve_inhomogeneous, rhs, l, ksq, power_law(gamma))
+    assert got == outcome(ref_solve, rhs, l, ksq, power_law(gamma))
+
+
+def test_power_law_solve_images_back():
+    # gamma = 1 leads at rho^(e+1); a right-hand side built as an image is solved
+    want = pe({2: 3, 4: -1}, F(1, 2))
+    rhs = xa.apply_h(want, 1, F(1, 4), power_law(1))
+    assert xa.solve_inhomogeneous(rhs, 1, F(1, 4), power_law(1)) == want

@@ -146,7 +146,7 @@ class TestSolveBound:
         # neighbouring mesh levels.  Energies from an independent node-counting
         # bisection
         st = solve_bound(power_law(g), l, nodes)
-        assert st.nodes == nodes and st.energy == pytest.approx(energy, rel=1e-9)
+        assert st.nodes == nodes and st.energy == pytest.approx(energy, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("l, nodes, energy", [(3, 12, -9.720243965898e-15),
                                                   (2, 12, -7.610103712194e-14)])
