@@ -19,9 +19,9 @@ from .hydrogen import (
     continuum_z2_1s,
     expectation_rho_power,
 )
-from .ladder import LadderFamily, build_f_ladder, build_g_ladder, greens_negative_order
+from .ladder import LadderFamily, build_f_ladder, build_g_ladder
 from .oracle import QuadratureSpec, compare, continuum_integral, contour_check, discrete_sum
-from .potentials import COULOMB, LOG, GridFunction, Potential, power_law, solve_bound
+from .potentials import COULOMB, LOG, GridFunction, Potential, negative_sum_rules, power_law, solve_bound
 from .sumrules import (
     FChoice,
     SumRuleValue,

@@ -21,17 +21,21 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import oracle, potentials
 from .errors import DipoleSumError, DivergentExpectation, DivergentSumRule, NumericalFailure
 from .hydrogen import bound_bound_z2, bound_state, channel
-from .ladder import build_f_ladder, greens_negative_order
+from .ladder import build_f_ladder
 from .oracle import QuadratureSpec, contour_check, max_convergent_order
-from .potentials import (COULOMB, LOG, MESH_SIZES, grid_expectation, mesh_sum_rules,
-                         power_law, solve_bound)
+from .potentials import (COULOMB, LOG, MESH_SIZES, GridFunction, _default_rho_max,
+                         grid_expectation, mesh_sum_rules, negative_sum_rules, power_law,
+                         solve_bound)
 from .sumrules import (
     FChoice,
     closed_form_coulomb,
@@ -367,9 +371,13 @@ def verify_equivalences() -> list[dict]:
     alpha0 = polarizability_1s()
     checks.append({"suite": "equivalences", "check": "ground-state polarizability",
                    "pass": alpha0 == Fraction(9, 2), "detail": str(alpha0)})
-    # kernel-quadrature route against exact inverse ladder
+    # Dalgarno-Lewis route against the exact inverse ladder, on the exact ground
+    # state sampled on the shooter's default log grid
+    rho = np.exp(np.linspace(math.log(1e-8), math.log(_default_rho_max(COULOMB, 0, 0)), 8192))
+    ground = GridFunction(grid=rho, values=bound_state(1, 0).values(rho), l=0, energy=-0.5)
+    sums = negative_sum_rules(ground, COULOMB, [channel("plus", 0)], [-1, -2])
     for j, want in [(1, Fraction(9, 8)), (2, Fraction(43, 32))]:
-        got = greens_negative_order(j)
+        got = sums[-j]
         checks.append({"suite": "equivalences", "check": f"kernel route S_-{j}",
                        "pass": abs(got - float(want)) < 1e-8,
                        "detail": f"{got:.12f} vs {want}"})
@@ -515,6 +523,9 @@ def _run(argv: list[str] | None) -> int:
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
 
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        return _usage_error(f"--tol must be finite and non-negative, not {tol}")
     try:
         if args.command == "table":
             return _cmd_table(args)
@@ -542,6 +553,8 @@ def _cmd_table(args) -> int:
     orders = _parse_orders(args.orders)
     if args.state:
         n, l = _parse_state(args.state)
+        if args.nmax <= n:   # the discrete sums end at level nmax, above the state's
+            return _usage_error(f"--nmax must exceed the state's n = {n}")
         if args.channel == "both":
             channels = ["plus"] if l == 0 else ["plus", "minus", "total"]
         else:
@@ -560,6 +573,8 @@ def _cmd_verify(args) -> int:
     if args.tol is not None and args.suite not in ("paper-tables", "all"):
         return _usage_error(f"--tol sets the paper-tables gate; the {args.suite} suite "
                             "has fixed gates")
+    if args.suite in ("paper-tables", "all") and args.nmax <= 2:
+        return _usage_error("--nmax must exceed 2, the n of the deepest paper-table state 2p")
     spec = QuadratureSpec(n_max=args.nmax)
     checks = run_verify(args.suite, 2e-4 if args.tol is None else args.tol, spec)
     if args.format == "json":

@@ -1,11 +1,10 @@
-"""Composite Simpson rules for sampled data on one axis, with numpy alone.
+"""Composite Simpson rule for sampled data on one axis, with numpy alone.
 
-simpson and cumulative_simpson are ports of the one-dimensional cases of
-scipy.integrate.simpson and scipy.integrate.cumulative_simpson (scipy 1.17).
-Each performs scipy's float operations in scipy's order, on the same kinds of
-numpy objects, so every result is bit-identical to scipy's; scipy itself is
-not imported, which keeps it out of the package's dependencies and out of the
-start-up time of every CLI call.
+simpson is a port of the one-dimensional case of scipy.integrate.simpson
+(scipy 1.17).  It performs scipy's float operations in scipy's order, on the
+same kinds of numpy objects, so every result is bit-identical to scipy's;
+scipy itself is not imported, which keeps it out of the package's
+dependencies and out of the start-up time of every CLI call.
 """
 
 from __future__ import annotations
@@ -34,7 +33,12 @@ def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray | None, dx: float):
     return np.sum(tmp)
 
 
-def _checked(y, x) -> tuple[np.ndarray, np.ndarray | None]:
+def simpson(y, x=None, *, dx: float = 1.0):
+    """int y over the samples: spacing from x when given, else the constant dx.
+
+    An even sample count takes Simpson's rule up to the third-last point and
+    Cartwright's correction for the last interval.
+    """
     y = np.asarray(y)
     if y.ndim != 1 or len(y) < 3:
         raise ValueError("Simpson's rule needs a 1-D array of at least three samples")
@@ -42,16 +46,6 @@ def _checked(y, x) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.asarray(x)
         if x.shape != y.shape:
             raise ValueError("x must have the shape of y")
-    return y, x
-
-
-def simpson(y, x=None, *, dx: float = 1.0):
-    """int y over the samples: spacing from x when given, else the constant dx.
-
-    An even sample count takes Simpson's rule up to the third-last point and
-    Cartwright's correction for the last interval.
-    """
-    y, x = _checked(y, x)
     n = len(y)
     if n % 2:
         return _basic_simpson(y, n - 2, x, dx)
@@ -72,42 +66,3 @@ def simpson(y, x=None, *, dx: float = 1.0):
     result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
     result += 0.0   # scipy adds its (here zero) two-point term; it turns -0.0 into 0.0
     return result
-
-
-def _first_interval_integrals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """int over [x_i, x_i+1] of the parabola through points i, i+1 and i+2.
-
-    Reversing y and dx gives the integrals over [x_i+1, x_i+2] instead.
-    """
-    x21 = dx[:-1]
-    x32 = dx[1:]
-    x31 = x21 + x32
-    x21_x31 = x21 / x31
-    x21_x32 = x21 / x32
-    x21x21_x31x32 = x21_x31 * x21_x32
-    coeff1 = 3 - x21_x31
-    coeff2 = 3 + x21x21_x31x32 + x21_x31
-    coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
-
-
-def cumulative_simpson(y, *, x, initial: float) -> np.ndarray:
-    """Running integral of y over the samples x (strictly increasing), starting at initial.
-
-    Interval i takes the parabola through points i..i+2 for even i and
-    through points i-1..i+1 for odd i and for the last interval.
-    """
-    y, x = _checked(np.asarray(y, dtype=float), np.asarray(x, dtype=float))
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("x must be strictly increasing")
-    from_left = _first_interval_integrals(y, dx)
-    from_right = np.flip(_first_interval_integrals(np.flip(y), np.flip(dx)))
-    parts = np.empty(len(y) - 1, dtype=np.result_type(y, dx))
-    parts[:-1:2] = from_left[::2]
-    parts[1::2] = from_right[::2]
-    parts[-1] = from_right[-1]
-    res = np.cumsum(parts)
-    start = np.broadcast_to(np.asarray(initial, dtype=float), (1,))
-    res += start
-    return np.concatenate((start, res))

@@ -16,7 +16,7 @@ Bound states are found by Numerov integration on a log-uniform grid
 bracketed around the level of a Lagrange-Laguerre mesh spectrum, which fixes
 the node count, and the shooter's own eigenvalue is returned.  The log grid
 resolves the rho**(l+1) origin behaviour and one policy covers every
-potential kind.
+potential kind.  Negative-order sum rules are solved on the same grid.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyfit
 
-from .errors import (
-    NoBoundState,
-    NotConverged,
-    SingularDerivative,
-)
+from .errors import NoBoundState, NotConverged, QuadratureNotConverged, SingularDerivative
 from .integrate import simpson
 
 
@@ -232,6 +228,66 @@ def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> 
     return sums
 
 
+# Relative agreement the Dalgarno-Lewis sums must reach on every other grid point
+HALF_GRID_TOL = 1e-6
+
+
+def _dalgarno_lewis_sums(rho, u, v0: Potential, energy: float, chans, orders) -> dict[int, float]:
+    """negative_sum_rules on one log-uniform grid: each rung is one Thomas sweep,
+    without pivoting, through the Numerov rows of the interior points."""
+    x = np.log(rho)
+    h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
+    root, rho2 = np.sqrt(rho), rho * rho
+    sums = dict.fromkeys(orders, 0.0)
+    for chan in chans:
+        lp = chan.target_l
+        hw = h2 * _log_grid_w(rho2, lp * (lp + 1) / rho2 + 2.0 * v0.v(rho), energy)
+        # the sweep runs on float arrays: lists of Python floats would triple its memory
+        off, diag = array("d", (1.0 - hw).tobytes()), array("d", (-2.0 - 10.0 * hw).tobytes())
+        f = [rho * u]
+        for _ in range((1 - min(orders)) // 2):   # the deepest order needs ceil(|J|/2) rungs
+            s = rho * root * f[-1]
+            rhs = array("d", (-h2 * (s[:-2] + 10.0 * s[1:-1] + s[2:])).tobytes())
+            c, d, upper, phi = 0.0, 0.0, array("d"), array("d")
+            for a, b, a_next, r in zip(off, islice(diag, 1, None), islice(off, 2, None), rhs):
+                m = 1.0 / (b - a * c)
+                c, d = a_next * m, (r - a * d) * m
+                upper.append(c)
+                phi.append(d)
+            p = 0.0
+            for i in range(len(phi) - 1, -1, -1):
+                p = phi[i] - upper[i] * p
+                phi[i] = p
+            f.append(root * np.concatenate(([0.0], phi, [0.0])))   # phi = 0 at both ends
+        for J in orders:
+            k = -J // 2
+            sums[J] += float(chan.weight) * float(simpson(f[k] * f[-J - k] * rho, x=x))
+    return sums
+
+
+def negative_sum_rules(state: GridFunction, v0: Potential, chans, orders) -> dict[int, float]:
+    """{J: S_J} for J < 0, summed over chans, with no sum over final states: the
+    Dalgarno-Lewis construction (Dalgarno & Lewis 1955, Proc. R. Soc. A 233, 70).
+
+    From f_0 = rho u each rung solves 2(H' - E) f_k+1 = f_k, that is
+    -f'' + (l'(l'+1)/rho^2 + 2 v0 - 2E) f = f_k, and S_-J = w <f_k, f_J-k> with
+    k = floor(J/2).  On the state's log grid phi = f/sqrt(rho) obeys
+    phi'' = W phi - rho^(3/2) f_k (W from _log_grid_w), with phi = 0 at both ends.
+
+    Precondition: no level of l' lies at E; degenerate Coulomb channels (l' <= n - 1)
+    would need it projected out of every rung.  Sums that move by more than
+    HALF_GRID_TOL on every other grid point raise QuadratureNotConverged.
+    """
+    if not orders or max(orders) >= 0:
+        raise ValueError("negative_sum_rules takes orders J < 0")
+    sums, half = (_dalgarno_lewis_sums(state.grid[::k], state.values[::k], v0, state.energy,
+                                       chans, orders) for k in (1, 2))
+    moved = max(abs(half[J] - sums[J]) / max(1.0, abs(sums[J])) for J in orders)
+    if moved > HALF_GRID_TOL:
+        raise QuadratureNotConverged(f"Dalgarno-Lewis sums move by {moved:.3g} on the half grid")
+    return sums
+
+
 def _match_defect(rho2, veff, energy, hx, w0):
     """Log-derivative mismatch at the outermost turning point.
 
@@ -308,11 +364,20 @@ def solve_bound(
         rho_max = _default_rho_max(v0, l, nodes)
 
     for _attempt in range(3):
-        x = np.linspace(math.log(rho_min), math.log(rho_max), n_points)
-        hx = x[1] - x[0]
-        rho = np.exp(x)
-        rho2 = rho**2
-        veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
+        # Numerov's f = 1 - hx^2 W / 12 at the level turns negative far out in steep
+        # confining potentials: there the grid ends where hx^2 max W / 12 is 1/2
+        for _extent in range(2):
+            x = np.linspace(math.log(rho_min), math.log(rho_max), n_points)
+            hx = x[1] - x[0]
+            rho = np.exp(x)
+            rho2 = rho**2
+            veff = l * (l + 1) / rho2 + 2.0 * v0.v(rho)
+            e = np.linalg.eigvalsh(_mesh_hamiltonian(v0, l, size, rho_max)[0]).tolist()
+            if hx * hx / 12.0 * _log_grid_w(rho2, veff, e[nodes]).max() < 1.0:
+                break   # keeping no W array here leaves the peak memory of the solve as it was
+            reach = ((x - x[0]) / (n_points - 1)) ** 2 / 12.0 * np.maximum.accumulate(
+                _log_grid_w(rho2, veff, e[nodes]))
+            rho_max = float(rho[np.argmax(reach > 0.5) - 1])
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
 
         # the defect has the sign of the Wronskian of the outward and inward
@@ -320,7 +385,6 @@ def solve_bound(
         # changes sign at each shooter level and nowhere else: bracket the level
         # within 1e-6 of the mesh level, else within halfway to the neighbouring mesh
         # levels (or to the continuum threshold), and refine it inside the bracket
-        e = np.linalg.eigvalsh(_mesh_hamiltonian(v0, l, size, rho_max)[0]).tolist()
         if not v0.confining() and e[nodes] >= 0.0:
             raise NoBoundState("requested state above the continuum threshold")
         e_up = e[nodes + 1] if v0.confining() else min(e[nodes + 1], 0.0)

@@ -154,6 +154,26 @@ class TestTable:
         assert out == ""
         assert err.strip() == "error: empty order range '3..1'"
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--state", "1s", "--nmax", "0"],
+        ["table", "--state", "1s", "--nmax", "-3"],
+        ["table", "--state", "2p", "--nmax", "2"],
+        ["verify", "--suite", "paper-tables", "--nmax", "1"],
+        ["verify", "--suite", "paper-tables", "--nmax", "2"],
+        ["verify", "--suite", "all", "--nmax", "2"],
+        ["table", "--state", "1s", "--tol", "nan"],
+        ["table", "--state", "1s", "--tol", "-1"],
+        ["table", "--potential", "gamma=2", "--tol", "inf"],
+        ["verify", "--suite", "paper-tables", "--tol", "nan"],
+        ["verify", "--suite", "paper-tables", "--tol", "-1"]])
+    def test_out_of_range_nmax_and_tol_exit_2(self, capsys, argv):
+        # --nmax must exceed the state's n (2 for the paper tables, whose deepest
+        # state is 2p); --tol must be finite and non-negative
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMatrix:
     def test_exact_rational_emitted(self, capsys):
@@ -268,10 +288,12 @@ class TestPotentialCommand:
     @pytest.mark.parametrize("argv", [["gamma=1/2", "--nodes", "5"],
                                       ["gamma=1/2", "--l", "1", "--nodes", "4"],
                                       ["gamma=1/2", "--nodes", "6"], ["gamma=3", "--nodes", "1"],
-                                      ["gamma=-7/4", "--nodes", "4"]])
+                                      ["gamma=-7/4", "--nodes", "4"],
+                                      ["gamma=4", "--nodes", "0"], ["gamma=1/4", "--nodes", "3"]])
     def test_level_bracketed_from_mesh(self, capsys, argv):
         # each level solves inside a bracket around its mesh level, with that
-        # level's node count (gamma=-7/4: the mesh level is 43 % too shallow)
+        # level's node count (gamma=-7/4: the mesh level is 43 % too shallow;
+        # gamma=4 and 1/4 solve on a grid cut where Numerov's f stays positive)
         code, out, _ = run_cli(capsys, "potential", "--potential", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["nodes"] == int(argv[-1])

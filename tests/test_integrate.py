@@ -1,4 +1,4 @@
-"""numpy Simpson rules: bit-identical to scipy's, and scipy stays unimported."""
+"""numpy Simpson rule: bit-identical to scipy's, and scipy stays unimported."""
 
 import os
 import subprocess
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dipolesum
-from dipolesum.integrate import cumulative_simpson, simpson
+from dipolesum.integrate import simpson
 
 SIZES = [3, 4, 5, 6, 7, 8, 33, 64, 1001, 1024, 8191, 8192]
 
@@ -42,24 +42,12 @@ class TestMatchesScipy:
             assert simpson(y, dx=dx) == scipy_integrate.simpson(y, dx=dx)
         assert simpson(y) == scipy_integrate.simpson(y)
 
-    @pytest.mark.parametrize("n", SIZES)
-    def test_cumulative_simpson(self, scipy_integrate, n):
-        for seed in range(5):
-            y, x = _samples(n, seed)
-            for initial in (0.0, -2.5):
-                got = cumulative_simpson(y, x=x, initial=initial)
-                want = scipy_integrate.cumulative_simpson(y, x=x, initial=initial)
-                assert got.shape == want.shape == (n,)
-                assert np.array_equal(got, want)
-
     def test_strided_log_grid(self, scipy_integrate):
-        # the coarse pass of the Green's-kernel route integrates every other
+        # the half-grid check of the Dalgarno-Lewis route integrates every other
         # point of a log grid
-        t = np.linspace(np.log(1e-6), np.log(60.0), 8001)[::2]
+        t = np.linspace(np.log(1e-8), np.log(37.0), 8192)[::2]
         y = np.exp(t) ** 3 * np.exp(-np.exp(t))
         assert simpson(y, x=t) == scipy_integrate.simpson(y, x=t)
-        assert np.array_equal(cumulative_simpson(y, x=t, initial=0.0),
-                              scipy_integrate.cumulative_simpson(y, x=t, initial=0.0))
 
 
 class TestRules:
@@ -69,22 +57,14 @@ class TestRules:
         y = 2.0 - x + 0.5 * x * x
         exact = lambda t: 2.0 * t - 0.5 * t * t + t**3 / 6.0
         assert simpson(y, x=x) == pytest.approx(exact(x[-1]) - exact(x[0]), rel=1e-13)
-        got = cumulative_simpson(y, x=x, initial=0.0)
-        assert got == pytest.approx(exact(x) - exact(x[0]), rel=1e-13, abs=1e-15)
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             simpson([1.0, 2.0])
-        with pytest.raises(ValueError):
-            cumulative_simpson([1.0, 2.0], x=[0.0, 1.0], initial=0.0)
 
     def test_rejects_mismatched_x(self):
         with pytest.raises(ValueError):
             simpson([1.0, 2.0, 3.0], x=[0.0, 1.0])
-
-    def test_cumulative_rejects_non_increasing_x(self):
-        with pytest.raises(ValueError):
-            cumulative_simpson([1.0, 2.0, 3.0], x=[0.0, 1.0, 1.0], initial=0.0)
 
 
 def test_package_runs_without_scipy():

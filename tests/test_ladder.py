@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from dipolesum import exactalg as xa
-from dipolesum.errors import DivergentAtOrigin
+from dipolesum.errors import DivergentAtOrigin, QuadratureNotConverged
 from dipolesum.hydrogen import bound_state, channel
 from dipolesum.ladder import (
     INFINITE,
     build_f_ladder,
     build_g_ladder,
-    greens_negative_order,
-    greens_wronskian_residual,
     ladder_rung,
     wronskian_at_origin,
 )
-from dipolesum.potentials import COULOMB
+from dipolesum.potentials import COULOMB, GridFunction, _default_rho_max, negative_sum_rules
+from dipolesum.sumrules import constructive_value
 
 
 def normed(fam, poly_coeffs, rate, norm2):
@@ -136,12 +135,44 @@ class TestPairingEquivalence:
                     assert left - right == wr.value
 
 
+def _exact_on_log_grid(n, l, rho_max):
+    """The exact Coulomb state on an 8192-point log grid from rho = 1e-8."""
+    rho = np.exp(np.linspace(np.log(1e-8), np.log(rho_max), 8192))
+    return GridFunction(grid=rho, values=bound_state(n, l).values(rho), l=l,
+                        energy=-0.5 / n**2)
+
+
 class TestKernelRoute:
-    def test_factorized_pair_wronskian(self):
-        rho = np.array([0.02, 0.1, 0.5, 0.89, 0.91, 2.0, 8.0, 20.0])
-        assert np.max(np.abs(greens_wronskian_residual(rho) * rho**2)) < 1e-12
+    """Dalgarno-Lewis negative orders on a log grid against the exact inverse ladder."""
 
     @pytest.mark.parametrize("j,want", [(1, F(9, 8)), (2, F(43, 32)),
                                         (3, F(319, 192)), (4, F(9673, 4608))])
     def test_negative_orders(self, j, want):
-        assert greens_negative_order(j) == pytest.approx(float(want), abs=1e-8)
+        # the exact 1s state on the shooter's default grid
+        ground = _exact_on_log_grid(1, 0, _default_rho_max(COULOMB, 0, 0))
+        got = negative_sum_rules(ground, COULOMB, [channel("plus", 0)], [-j])[-j]
+        assert got == pytest.approx(float(want), abs=1e-8)
+
+    @pytest.mark.parametrize("n, l", [(2, 1), (3, 2)])
+    def test_nondegenerate_channels(self, n, l):
+        # l' = n, so no level of the plus channel lies at E
+        orders = [-1, -2, -3, -4]
+        got = negative_sum_rules(_exact_on_log_grid(n, l, 60.0 * n * n), COULOMB,
+                                 [channel("plus", l)], orders)
+        for J in orders:
+            assert got[J] == pytest.approx(float(constructive_value(n, l, "plus", J)),
+                                           rel=1e-9), J
+
+    def test_half_grid_guard(self):
+        # one grid point moved by 1 % breaks the uniform log step that Numerov's
+        # rows assume; the every-other-point grid does not hold that point
+        rho = np.exp(np.linspace(np.log(1e-8), np.log(37.0), 8192))
+        rho[7001] *= 1.01
+        state = GridFunction(grid=rho, values=bound_state(1, 0).values(rho), l=0, energy=-0.5)
+        with pytest.raises(QuadratureNotConverged, match="half grid"):
+            negative_sum_rules(state, COULOMB, [channel("plus", 0)], [-1])
+
+    def test_rejects_nonnegative_orders(self):
+        with pytest.raises(ValueError):
+            negative_sum_rules(_exact_on_log_grid(1, 0, 37.0), COULOMB, [channel("plus", 0)],
+                               [-1, 0])

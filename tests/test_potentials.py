@@ -20,6 +20,7 @@ from dipolesum.potentials import (
     grid_overlap,
     mesh_spectrum,
     mesh_sum_rules,
+    negative_sum_rules,
     power_law,
     solve_bound,
 )
@@ -175,6 +176,21 @@ class TestSolveBound:
         st = solve_bound(power_law(2), 0, 20)
         assert st.nodes == 20 and st.energy == pytest.approx(41.5, rel=1e-6)
 
+    @pytest.mark.parametrize("g, l, nodes", [
+        (4, 0, 0), (4, 1, 2), (F(15, 4), 0, 0), (F(11, 3), 0, 0), (F(7, 2), 0, 0),
+        (F(1, 3), 0, 0), (F(1, 4), 0, 0), (F(1, 4), 0, 5), (3, 0, 9)])
+    def test_steep_confining_levels(self, g, l, nodes):
+        # on the default extent Numerov's f = 1 - hx^2 W / 12 turns negative far out
+        # and spurious nodes appeared; the solver ends the grid where hx^2 W / 12 is
+        # about 1/2, and its level matches the mesh it started from
+        v0 = power_law(g)
+        st = solve_bound(v0, l, nodes)
+        f = 1.0 - st.hx**2 / 12.0 * potentials._log_grid_w(
+            st.grid**2, l * (l + 1) / st.grid**2 + 2.0 * v0.v(st.grid), st.energy)
+        assert st.nodes == nodes and f.min() > 0.0
+        mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], st.grid[-1])[0][nodes]
+        assert st.energy == pytest.approx(mesh, rel=1e-8, abs=0)
+
 
 class TestMesh:
     def test_nodes_are_laguerre_zeros(self):
@@ -228,6 +244,28 @@ class TestMesh:
                         for n in MESH_SIZES)
         gap = abs(fine - closed_form_power_law(solve_bound(LOG, 0, 0), LOG, 4))
         assert 1e-4 < gap <= abs(fine - coarse)
+
+
+class TestNegativeSumRules:
+    """Dalgarno-Lewis S_J, J < 0, on the shooter's grid for general potentials."""
+
+    def test_oscillator(self, oscillator):
+        # rho couples the ground state to one level, with 2(E_k - E) = 2 and S_0 = 1/2
+        orders = [-1, -2, -3, -4]
+        got = negative_sum_rules(oscillator, power_law(2), [channel("plus", 0)], orders)
+        for J in orders:
+            assert got[J] == pytest.approx(2.0 ** (J - 1), abs=1e-10), J
+
+    @pytest.mark.parametrize("v0, nodes", [(power_law(F(1, 2)), 0), (power_law(F(1, 2)), 3),
+                                           (LOG, 0), (power_law(F(-1, 2)), 0)])
+    def test_matches_mesh(self, v0, nodes):
+        # at 3 nodes 2(H' - E) is indefinite: the l' = 1 levels below E count too
+        orders = [-1, -2, -3, -4]
+        chans = [channel("plus", 0)]
+        got = negative_sum_rules(solve_bound(v0, 0, nodes), v0, chans, orders)
+        want = mesh_sum_rules(v0, 0, nodes, chans, orders, MESH_SIZES[-1])
+        for J in orders:
+            assert got[J] == pytest.approx(want[J], rel=1e-5), J
 
 
 class TestGridExpectation:
