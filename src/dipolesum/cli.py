@@ -135,19 +135,22 @@ def _load_config(path: str | None) -> dict[str, str]:
 def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
                        spec: QuadratureSpec, tol: float) -> list[dict]:
     """One row per (J, channel) from oracle.compare, gated on
-    |total - constructive| <= max(tol, estimated error)."""
+    |total - constructive| <= max(tol, estimated_error); divergent rows carry no
+    estimate."""
     state = bound_state(n, l)
     rows = []
     for J in orders:
         for direction in channels:
             row = {"state": {"n": n, "l": l}, "J": J, "channel": direction,
                    "discrete": None, "continuum": None, "total": None,
-                   "constructive": None, "closed_form": None, "pass": False}
+                   "constructive": None, "closed_form": None,
+                   "estimated_error": None, "route": "oracle", "pass": False}
             try:
                 v = oracle.compare(state, direction, J, spec)
                 row.update(discrete=v.discrete, continuum=v.continuum, total=v.total,
                            constructive=_frac_str(v.constructive),
-                           closed_form=_frac_str(v.closed_form))
+                           closed_form=_frac_str(v.closed_form),
+                           estimated_error=v.estimated_error)
                 row["pass"] = abs(v.total - float(v.constructive)) <= max(tol, v.estimated_error)
             except DivergentSumRule:
                 row["divergent"] = True

@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -188,16 +189,25 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
 MESH_SIZES = (120, 180)
 
 
+@lru_cache(maxsize=len(MESH_SIZES))
+def _laguerre_zeros(n: int) -> np.ndarray:
+    """Zeros of L_n, ascending, as eigenvalues of the Laguerre Jacobi matrix
+    (laggauss's weights overflow from n of about 180).  Read-only: callers share it."""
+    k = np.arange(n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    x.flags.writeable = False
+    return x
+
+
 def _mesh_hamiltonian(v0: Potential, l: int, n: int, r_max: float):
     """(matrix, points r = h x) of the radial Hamiltonian on the regularised n-point
     Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep. 565, 1); x are the
-    zeros of L_n, from the Laguerre Jacobi matrix (laggauss's weights overflow from n
-    of about 180).  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
-    k = np.arange(n)
-    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    zeros of L_n.  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
+    k, x = np.arange(n), _laguerre_zeros(n)
     h, r = r_max / x[-1], r_max / x[-1] * x
     dx = np.subtract.outer(x, x) + np.eye(n)   # 1 on the diagonal, overwritten below
-    t = (-1.0) ** np.add.outer(k, k) * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
+    sign = np.where(np.add.outer(k, k) & 1, -1.0, 1.0)   # (-1)^(i+j)
+    t = sign * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
     np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
     return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
 
@@ -288,14 +298,37 @@ def negative_sum_rules(state: GridFunction, v0: Potential, chans, orders) -> dic
     return sums
 
 
+def _sign_changes(w: array, start: int, stop: int) -> int:
+    """Count of w[i - 1] * w[i] < 0.0 for start <= i < stop: the products of the
+    stored values, so a product that underflows to 0 counts no node."""
+    a = np.frombuffer(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return int(np.count_nonzero(a[start - 1:stop - 1] * a[start:stop] < 0.0))
+
+
+# Points per tolist() batch of the matching loops: float lists of the whole grid
+# would add peak memory
+_BATCH = 1024
+
+
+def _numerov_rows(f: np.ndarray, g: np.ndarray, steps: int):
+    """(f[s], g[s + 1], f[s + 2]) for s < steps, as Python floats read through
+    tolist() a batch at a time."""
+    def batch(i):
+        fi = f[i:min(i + _BATCH, steps) + 2].tolist()
+        return zip(fi, g[i + 1:i + len(fi) - 1].tolist(), islice(fi, 2, None))
+    return chain.from_iterable(map(batch, range(0, steps, _BATCH)))
+
+
 def _match_defect(rho2, veff, energy, hx, w0):
     """Log-derivative mismatch at the outermost turning point.
 
-    Returns (defect, assembled w, node count).  The outward and
-    inward Numerov loops run on Python floats read through tolist().
+    Returns (defect, assembled w, node count).  The outward and inward Numerov
+    loops run on Python floats read through tolist(), with 12 - 10 f computed
+    beforehand; nodes are counted on the stored w after each pass.
     """
     big_w = _log_grid_w(rho2, veff, energy)
-    f = (1.0 - (hx * hx / 12.0) * big_w).tolist()
+    f = 1.0 - (hx * hx / 12.0) * big_w
     n = len(f)
     sign_change = np.nonzero(np.diff(np.signbit(big_w)))[0]
     if len(sign_change) == 0:
@@ -303,44 +336,45 @@ def _match_defect(rho2, veff, energy, hx, w0):
     m = int(sign_change[-1]) + 1
     if m < 4 or m > n - 4:
         raise NoBoundState("turning point too close to the grid edge")
+    g = 12.0 - 10.0 * f
 
-    # w goes into preallocated float arrays and f is read through islice:
-    # growing or sliced buffers would add about a megabyte of peak memory
-    wout = array("d", bytes(8 * (m + 2)))
-    wout[0], wout[1] = w0, 1.0
-    nodes = 0
+    # w is appended to float arrays: lists of Python floats would add peak memory
+    wout = array("d", (w0, 1.0))
+    put = wout.append
     wp, wc = w0, 1.0
-    for i, fp, fc, fn in zip(range(2, m + 2), f, islice(f, 1, None), islice(f, 2, None)):
-        wn = ((12.0 - 10.0 * fc) * wc - fp * wp) / fn
-        wout[i] = wn
-        if wn * wc < 0.0:
-            nodes += 1
+    for fp, gc, fn in _numerov_rows(f, g, m):
+        wn = (gc * wc - fp * wp) / fn
+        put(wn)
         wp, wc = wc, wn
+    nodes = _sign_changes(wout, 2, m + 2)
 
-    # inward from the last point, into win[k] = w[m-1+k]
+    # inward from the last point: win[k] = w[n-1-k], for k up to n - m
     kappa = math.sqrt(max(big_w[-1], 1.0))
-    win = array("d", bytes(8 * (n - m + 1)))
-    wp = win[-1] = 1e-280
-    wc = win[-2] = wp * math.exp(kappa * hx)
-    for k, fp, fc, fn in zip(range(n - m - 2, -1, -1), reversed(f),
-                             islice(reversed(f), 1, None), islice(reversed(f), 2, None)):
-        wn = ((12.0 - 10.0 * fc) * wc - fp * wp) / fn
-        win[k] = wn
+    wp = 1e-280
+    wc = wp * math.exp(kappa * hx)
+    win = array("d", (wp, wc))
+    put = win.append
+    counted = 2   # sign changes up to win[counted - 1] are in nodes
+    for fp, gc, fn in _numerov_rows(f[::-1], g[::-1], n - m - 1):
+        wn = (gc * wc - fp * wp) / fn
+        put(wn)
         if abs(wn) > 1e250:
-            win[k:] = array("d", [v * 1e-200 for v in win[k:]])
-            wc, wn = win[k + 1], win[k]
-        if wn * wc < 0.0:
-            nodes += 1
+            # the rescaled early values underflow: count the nodes among them first
+            nodes += _sign_changes(win, counted, len(win) - 1)
+            counted = len(win) - 1
+            win = array("d", [v * 1e-200 for v in win])
+            put = win.append
+            wc, wn = win[-2], win[-1]
         wp, wc = wc, wn
-    del f   # the float list is four times the size of w: free it before assembling w
+    nodes += _sign_changes(win, counted, len(win))
 
-    if wout[m] == 0.0 or win[1] == 0.0:
+    if wout[m] == 0.0 or win[-2] == 0.0:
         return math.inf, None, nodes
-    scale = wout[m] / win[1]
+    scale = wout[m] / win[-2]
     dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
-    din = (win[2] * scale - win[0] * scale) / (2 * hx)
+    din = (win[-3] * scale - win[-1] * scale) / (2 * hx)
     defect = (dout - din) / max(abs(wout[m]), 1e-300)
-    w = np.concatenate([wout[: m + 1], np.array(win[2:]) * scale])
+    w = np.concatenate([np.frombuffer(wout)[: m + 1], np.frombuffer(win)[-3::-1] * scale])
     return defect, w, nodes
 
 

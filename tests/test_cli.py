@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -50,6 +51,23 @@ class TestTable:
         assert row["constructive"] == "1/1"
         assert isinstance(row["discrete"], float)
         assert row["pass"] is True
+
+    def test_coulomb_rows_carry_error_bar(self, capsys):
+        # each row states the estimate its gate used: |total - constructive| <= max(tol, est)
+        code, out, _ = run_cli(capsys, "table", "--state", "2p", "--orders=-4..4",
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 27 and all(r["route"] == "oracle" for r in rows)
+        for r in rows:
+            assert math.isfinite(r["estimated_error"]), (r["J"], r["channel"])
+            gap = abs(r["total"] - float(Fraction(r["constructive"])))
+            assert r["pass"] == (gap <= max(2e-4, r["estimated_error"])), (r["J"], r["channel"])
+        code, out, _ = run_cli(capsys, "table", "--state", "1s", "--orders", "4..4",
+                               "--format", "json")
+        assert code == 0
+        assert [(r["divergent"], r["estimated_error"], r["route"]) for r in json.loads(out)] == [
+            (True, None, "oracle")]
 
     def test_csv_column_order(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--state", "1s", "--orders", "1..1",

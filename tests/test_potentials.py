@@ -1,5 +1,6 @@
 """Generic bound-state solver, grid expectations, grid ladders."""
 
+import math
 import warnings
 from fractions import Fraction as F
 
@@ -190,6 +191,113 @@ class TestSolveBound:
         assert st.nodes == nodes and f.min() > 0.0
         mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], st.grid[-1])[0][nodes]
         assert st.energy == pytest.approx(mesh, rel=1e-8, abs=0)
+
+
+def _reference_match_defect(rho2, veff, energy, hx, w0):
+    """The plain matching loop the solver's kernel must reproduce bit for bit: every
+    step recomputes 12 - 10 f and tests wn * wc < 0.0 for a node.  Returns
+    (defect, w, nodes, whether the inward pass rescaled)."""
+    big_w = potentials._log_grid_w(rho2, veff, energy)
+    f = (1.0 - (hx * hx / 12.0) * big_w).tolist()
+    n = len(f)
+    sign_change = np.nonzero(np.diff(np.signbit(big_w)))[0]
+    if len(sign_change) == 0:
+        raise NoBoundState("no classical region")
+    m = int(sign_change[-1]) + 1
+    if m < 4 or m > n - 4:
+        raise NoBoundState("turning point too close to the grid edge")
+    wout = [w0, 1.0] + [0.0] * m
+    nodes = 0
+    for i in range(2, m + 2):
+        wout[i] = ((12.0 - 10.0 * f[i - 1]) * wout[i - 1] - f[i - 2] * wout[i - 2]) / f[i]
+        if wout[i] * wout[i - 1] < 0.0:
+            nodes += 1
+    # inward from the last point, win[k] = w[m-1+k]
+    win = [0.0] * (n - m + 1)
+    win[-1] = 1e-280
+    win[-2] = win[-1] * math.exp(math.sqrt(max(big_w[-1], 1.0)) * hx)
+    rescaled = False
+    for k in range(n - m - 2, -1, -1):
+        j = m - 1 + k
+        win[k] = ((12.0 - 10.0 * f[j + 1]) * win[k + 1] - f[j + 2] * win[k + 2]) / f[j]
+        if abs(win[k]) > 1e250:
+            win[k:] = [v * 1e-200 for v in win[k:]]
+            rescaled = True
+        if win[k] * win[k + 1] < 0.0:
+            nodes += 1
+    if wout[m] == 0.0 or win[1] == 0.0:
+        return math.inf, None, nodes, rescaled
+    scale = wout[m] / win[1]
+    dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
+    din = (win[2] * scale - win[0] * scale) / (2 * hx)
+    defect = (dout - din) / max(abs(wout[m]), 1e-300)
+    return defect, np.concatenate([wout[: m + 1], np.array(win[2:]) * scale]), nodes, rescaled
+
+
+def _reference_mesh_hamiltonian(v0, l, n, r_max):
+    """The mesh Hamiltonian built from scratch: Laguerre zeros and (-1)^(i+j) by power."""
+    k = np.arange(n)
+    x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    h, r = r_max / x[-1], r_max / x[-1] * x
+    dx = np.subtract.outer(x, x) + np.eye(n)
+    t = (-1.0) ** np.add.outer(k, k) * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
+    np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
+    return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
+
+
+class TestKernelsMatchReference:
+    """The solver's matching loop and mesh match their plain references bit for bit."""
+
+    @staticmethod
+    def _sweep(v0, l, nodes):
+        # the shooter's default grid of (l, nodes) and the energies at and halfway
+        # between the first 8 levels of its N = 180 mesh
+        rho_max = _default_rho_max(v0, l, nodes)
+        x = np.linspace(math.log(1e-8), math.log(rho_max), 8192)
+        rho2 = np.exp(x) ** 2
+        veff = l * (l + 1) / rho2 + 2.0 * v0.v(np.exp(x))
+        e = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0][:8]
+        args = (rho2, veff, x[1] - x[0], math.exp((l + 0.5) * (x[0] - x[1])))
+        return args, sorted([*e, *(0.5 * (e[1:] + e[:-1]))])
+
+    @pytest.mark.parametrize("v0, l, nodes, rescales", [
+        (COULOMB, 0, 7, False), (COULOMB, 2, 7, False), (power_law(2), 0, 7, False),
+        (power_law(1), 0, 7, False), (power_law(F(1, 2)), 0, 7, True),
+        (power_law(-1), 0, 7, False), (power_law(F(-3, 2)), 0, 7, True), (LOG, 0, 7, False),
+        (power_law(F(1, 2)), 0, 3, False)])
+    def test_match_defect(self, v0, l, nodes, rescales):
+        # on the wide 7-node grids of gamma = 1/2 and -3/2 the inward pass rescales at
+        # the lowest levels, whose early values then underflow: the nodes must be
+        # counted before that (gamma = 1/2 counts 5 at its ground level)
+        (rho2, veff, hx, w0), energies = self._sweep(v0, l, nodes)
+        rescaled = []
+        for energy in energies:
+            try:
+                want = _reference_match_defect(rho2, veff, float(energy), hx, w0)
+            except NoBoundState:
+                with pytest.raises(NoBoundState):
+                    potentials._match_defect(rho2, veff, float(energy), hx, w0)
+                continue
+            defect, w, nd = potentials._match_defect(rho2, veff, float(energy), hx, w0)
+            assert defect == want[0] and nd == want[2], energy
+            assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
+            rescaled.append(want[3])
+        assert len(rescaled) >= 8 and any(rescaled) == rescales
+
+    @pytest.mark.parametrize("n", [60, 120, 180, 240])
+    def test_mesh_hamiltonian(self, n):
+        for v0 in (COULOMB, power_law(F(1, 2))):
+            for l in range(4):
+                got, want = potentials._mesh_hamiltonian(v0, l, n, 40.0), \
+                    _reference_mesh_hamiltonian(v0, l, n, 40.0)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (v0, l)
+
+    def test_laguerre_zeros_shared_read_only(self):
+        x = potentials._laguerre_zeros(MESH_SIZES[0])
+        assert potentials._laguerre_zeros(MESH_SIZES[0]) is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert potentials._laguerre_zeros.cache_parameters()["maxsize"] == len(MESH_SIZES)
 
 
 class TestMesh:
