@@ -20,7 +20,7 @@ from .hydrogen import (
     expectation_rho_power,
 )
 from .ladder import LadderFamily, build_f_ladder, build_g_ladder
-from .oracle import QuadratureSpec, compare, continuum_integral, contour_check, discrete_sum
+from .oracle import compare, continuum_integral_with_error, contour_check, discrete_sum
 from .potentials import COULOMB, LOG, GridFunction, Potential, negative_sum_rules, power_law, solve_bound
 from .sumrules import (
     FChoice,

@@ -32,7 +32,7 @@ from . import oracle, potentials
 from .errors import DipoleSumError, DivergentExpectation, DivergentSumRule, NumericalFailure
 from .hydrogen import bound_bound_z2, bound_state, channel
 from .ladder import build_f_ladder
-from .oracle import QuadratureSpec, contour_check, max_convergent_order
+from .oracle import N_MAX, contour_check, max_convergent_order
 from .potentials import (COULOMB, LOG, MESH_SIZES, GridFunction, _default_rho_max,
                          grid_expectation, mesh_sum_rules, negative_sum_rules, power_law,
                          solve_bound)
@@ -133,7 +133,7 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
-                       spec: QuadratureSpec, tol: float) -> list[dict]:
+                       n_max: int, tol: float) -> list[dict]:
     """One row per (J, channel) from oracle.compare, gated on
     |total - constructive| <= max(tol, estimated_error); divergent rows carry no
     estimate."""
@@ -146,7 +146,7 @@ def coulomb_table_rows(n: int, l: int, orders: list[int], channels: list[str],
                    "constructive": None, "closed_form": None,
                    "estimated_error": None, "route": "oracle", "pass": False}
             try:
-                v = oracle.compare(state, direction, J, spec)
+                v = oracle.compare(state, direction, J, n_max)
                 row.update(discrete=v.discrete, continuum=v.continuum, total=v.total,
                            constructive=_frac_str(v.constructive),
                            closed_form=_frac_str(v.closed_form),
@@ -263,13 +263,13 @@ def _print_tolerance(value: float) -> float:
     return 10.0 ** -len(text.split(".")[1])
 
 
-def verify_paper_tables(tol: float, spec: QuadratureSpec) -> list[dict]:
+def verify_paper_tables(tol: float, n_max: int) -> list[dict]:
     checks = []
     for (n, l, direction), table in REFERENCE_SPLITS.items():
         state = bound_state(n, l)
         split_tol = tol if (n, l) == (1, 0) or l == 0 else max(tol, 2e-3)
         for J, (ref_d, ref_c) in sorted(table.items()):
-            row = oracle.compare(state, direction, J, spec)
+            row = oracle.compare(state, direction, J, n_max)
             d, c, cons = row.discrete, row.continuum, float(row.constructive)
             cell = max(split_tol, _print_tolerance(ref_d))
             checks.append({"suite": "paper-tables",
@@ -287,7 +287,7 @@ def verify_paper_tables(tol: float, spec: QuadratureSpec) -> list[dict]:
                            "detail": f"{d + c:.6f} vs exact {cons:.6f}"})
         top = max_convergent_order(state)
         try:
-            oracle.compare(state, direction, top + 1, spec)
+            oracle.compare(state, direction, top + 1, n_max)
             checks.append({"suite": "paper-tables",
                            "check": f"{n}{'spdfg'[l]} {direction} J={top + 1} divergent",
                            "pass": False, "detail": "should have raised"})
@@ -403,10 +403,10 @@ def verify_contour() -> list[dict]:
     return checks
 
 
-def run_verify(suite: str, tol: float, spec: QuadratureSpec) -> list[dict]:
+def run_verify(suite: str, tol: float, n_max: int) -> list[dict]:
     checks = []
     if suite in ("paper-tables", "all"):
-        checks += verify_paper_tables(tol, spec)
+        checks += verify_paper_tables(tol, n_max)
     if suite in ("identities", "all"):
         checks += verify_identities()
     if suite in ("equivalences", "all"):
@@ -441,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--l", type=_nonnegative_int, default=0)
     t.add_argument("--orders", default="0..3", help="order range A..B")
     t.add_argument("--channel", default="both", choices=["plus", "minus", "total", "both"])
-    t.add_argument("--nmax", type=int, default=2000)
+    t.add_argument("--nmax", type=int, default=N_MAX)
     t.add_argument("--tol", type=float, default=2e-4)
     t.add_argument("--format", default="text", choices=["text", "json", "csv"])
 
@@ -451,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float,
                    help="gate of the paper-tables suite (default 2e-4); the other suites "
                         "have fixed gates and reject it")
-    v.add_argument("--nmax", type=int, default=2000,
+    v.add_argument("--nmax", type=int, default=N_MAX,
                    help="highest discrete level of the paper-tables suite; the contour "
                         "suite uses a fixed quadrature and levels n = 2..10")
     v.add_argument("--format", default="text", choices=["text", "json"])
@@ -552,7 +552,6 @@ def _run(argv: list[str] | None) -> int:
 
 
 def _cmd_table(args) -> int:
-    spec = QuadratureSpec(n_max=args.nmax)
     orders = _parse_orders(args.orders)
     if args.state:
         n, l = _parse_state(args.state)
@@ -562,7 +561,7 @@ def _cmd_table(args) -> int:
             channels = ["plus"] if l == 0 else ["plus", "minus", "total"]
         else:
             channels = [args.channel]
-        rows = coulomb_table_rows(n, l, orders, channels, spec, args.tol)
+        rows = coulomb_table_rows(n, l, orders, channels, args.nmax, args.tol)
     elif args.potential:
         v0 = _parse_potential(args.potential)
         rows = potential_table_rows(v0, args.l, args.nodes, orders, args.tol)
@@ -578,8 +577,7 @@ def _cmd_verify(args) -> int:
                             "has fixed gates")
     if args.suite in ("paper-tables", "all") and args.nmax <= 2:
         return _usage_error("--nmax must exceed 2, the n of the deepest paper-table state 2p")
-    spec = QuadratureSpec(n_max=args.nmax)
-    checks = run_verify(args.suite, 2e-4 if args.tol is None else args.tol, spec)
+    checks = run_verify(args.suite, 2e-4 if args.tol is None else args.tol, args.nmax)
     if args.format == "json":
         json.dump(checks, sys.stdout, indent=2)
         print()

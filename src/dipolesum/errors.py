@@ -72,6 +72,10 @@ class SingularDerivative(DipoleSumError):
     """Grid ladder would require derivatives of a singular potential at rho=0."""
 
 
+class InvalidTruncation(DipoleSumError):
+    """A discrete sum truncated at or below the state's own level."""
+
+
 class InvalidOrder(DipoleSumError):
     """Sum-rule order outside the range where the requested form exists."""
 

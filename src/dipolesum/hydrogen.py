@@ -324,25 +324,11 @@ def reference_expectation(m: int, l: int, p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WaveSpec:
-    """Grid policy for continuum integration.
-
-    rho_max = None applies max(40, 30/q), enough for the wave's own
-    calibration but not for a bound-free quadrature, which needs the whole
-    support of the bound state; that support grows like n^2.  At q = 2 the
-    2s and 2p elements from bound_free_z2 are off by up to 1.5e-3 with the
-    default grid and agree with bound_free_z2_closed to 5e-7 with
-    rho_max = 90.
-    """
-
-    rho_max: float | None = None
-    step_cap: float = 1.0 / 40.0
-    steps_per_wavelength: float = 20.0
-    match_x: float = 3.0
-
-
-DEFAULT_WAVE_SPEC = WaveSpec()
+# Numerov step h = min(WAVE_STEP_CAP, 1/(WAVE_STEPS_PER_WAVELENGTH q)); the
+# scale is matched at x = q rho <= WAVE_MATCH_X.
+WAVE_STEP_CAP = 1.0 / 40.0
+WAVE_STEPS_PER_WAVELENGTH = 20.0
+WAVE_MATCH_X = 3.0
 
 
 @dataclass
@@ -352,20 +338,6 @@ class ContinuumWave:
     grid: np.ndarray
     values: np.ndarray
     h: float
-
-
-def _series_u(l: int, q: float, rho: float, terms: int = 26) -> float:
-    """Regular-origin Frobenius series rho^(l+1) sum a_j rho^j (unnormalized)."""
-    a_prev2 = 0.0
-    a_prev = 1.0
-    s = 1.0
-    p = 1.0
-    for j in range(1, terms):
-        a = (-2.0 * a_prev - q * q * a_prev2) / (j * (2 * l + 1 + j))
-        p *= rho
-        s += a * p
-        a_prev2, a_prev = a_prev, a
-    return rho ** (l + 1) * s
 
 
 def _ln_coulomb_c2(l: int, q):
@@ -404,26 +376,34 @@ def coulomb_f_regular(l: int, q: float, x: float) -> float:
     return math.exp(0.5 * float(_ln_coulomb_c2(l, q))) * x ** (l + 1) * s
 
 
-def continuum_wave(l: int, q: float, spec: WaveSpec | None = None) -> ContinuumWave:
+def continuum_wave(l: int, q: float, rho_max: float | None = None) -> ContinuumWave:
     """Energy-normalized continuum wave by outward Numerov integration.
 
-    The overall scale is fixed by matching one interior grid point against
-    sqrt(2/pi) * F_l evaluated from the exact series; a second point checks
-    consistency.
+    Numerov starts from the regular Coulomb series at the first two grid
+    points.  The overall scale is fixed by matching one interior grid point
+    against sqrt(2/pi) * F_l evaluated from the exact series; a second point
+    checks consistency.
+
+    rho_max = None applies max(40, 30/q), enough for the wave's own
+    calibration but not for a bound-free quadrature, which needs the whole
+    support of the bound state; that support grows like n^2.  At q = 2 the
+    2s and 2p elements from bound_free_z2 are off by up to 1.5e-3 with the
+    default grid and agree with bound_free_z2_closed to 5e-7 with
+    rho_max = 90.
     """
     if q <= 0:
         raise NonPositiveQ("q must be positive")
-    spec = spec or DEFAULT_WAVE_SPEC
-    rho_max = spec.rho_max if spec.rho_max is not None else max(40.0, 30.0 / q)
-    h = min(spec.step_cap, 1.0 / (spec.steps_per_wavelength * q))
+    if rho_max is None:
+        rho_max = max(40.0, 30.0 / q)
+    h = min(WAVE_STEP_CAP, 1.0 / (WAVE_STEPS_PER_WAVELENGTH * q))
     n = int(math.ceil(rho_max / h)) + 1
     rho = h * np.arange(1, n + 1)
     w = l * (l + 1) / rho**2 - 2.0 / rho - q * q
     f = 1.0 - (h * h / 12.0) * w
 
     u = np.empty(n)
-    u[0] = _series_u(l, q, rho[0])
-    u[1] = _series_u(l, q, rho[1])
+    u[0] = coulomb_f_regular(l, q, q * rho[0])
+    u[1] = coulomb_f_regular(l, q, q * rho[1])
     flist = f.tolist()
     ulist = u.tolist()
     up, uc = ulist[0], ulist[1]
@@ -437,7 +417,7 @@ def continuum_wave(l: int, q: float, spec: WaveSpec | None = None) -> ContinuumW
     u = np.asarray(ulist)
 
     # normalization: match the exact regular solution where the series is safe
-    x_m = min(spec.match_x, 20.0 * q)
+    x_m = min(WAVE_MATCH_X, 20.0 * q)
     idx0 = min(int(round(x_m / (q * h))), n - 1)
     candidates = sorted({max(2, idx0 - k) for k in range(0, idx0 // 2 + 1, max(1, idx0 // 8))})
     best = max(candidates, key=lambda i: abs(u[i]))

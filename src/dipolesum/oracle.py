@@ -16,6 +16,11 @@ per node set and reused by every order J.  z2 falls like q^-(8+2l), so the
 u-integrand stays bounded up to u = pi/2 for every convergent order
 J <= 3 + l, and the panel-doubling difference is the error estimate.
 
+compare(state, direction, J, n_max) assembles one row from both parts.  Each
+(state, channel) has one cached _Channel that owns its discrete table, grown
+in place when a larger n_max is asked for, and its continuum node sets; the
+contour check's continuum reference reads the same object.
+
 A contour check verifies that discrete terms equal residues of the complex
 integrand at v = 1/n and that the continuum part equals the line integral
 along the positive imaginary v axis.
@@ -23,13 +28,14 @@ along the positive imaginary v axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DivergentSumRule, InvalidOrder, QuadratureNotConverged
+from .errors import DivergentSumRule, InvalidOrder, InvalidTruncation, QuadratureNotConverged
 from .hydrogen import (
     BoundState,
     Channel,
@@ -48,16 +54,7 @@ U_PANELS = 24
 GAUSS_ORDER = 10
 MAX_REFINEMENTS = 2
 ABS_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Controls for the brute-force evaluation: the highest discrete level."""
-
-    n_max: int = 2000
-
-
-DEFAULT_SPEC = QuadratureSpec()
+N_MAX = 2000   # highest discrete level, as in the reference splits
 
 
 def max_convergent_order(state: BoundState) -> int:
@@ -65,96 +62,37 @@ def max_convergent_order(state: BoundState) -> int:
     return 3 + state.l
 
 
-# ---------------------------------------------------------------------------
-# discrete sums
-# ---------------------------------------------------------------------------
-
-_Z2_CACHE: dict[tuple[int, int, str], list[float]] = {}
-
-
-def _z2_table(state: BoundState, chan: Channel, n_max: int) -> list[float]:
-    """|<state|z|n, l'>|^2 for n = 0..n_max (index n; unused slots 0)."""
-    key = (state.n, state.l, chan.direction)
-    table = _Z2_CACHE.get(key, [])
-    if len(table) >= n_max + 1:
-        return table
-    lp = chan.target_l
-    start = max(len(table), lp + 1)
-    if not table:
-        table = [0.0] * (lp + 1)
-    for n in range(start, n_max + 1):
-        table.append(bound_bound_z2_float(state, n, chan))
-    _Z2_CACHE[key] = table
-    return table
-
-
-def _discrete_terms(state: BoundState, chan: Channel, J: int, n_max: int) -> list[float]:
-    """Weighted terms; degenerate level included only at J = 0 (weight 1)."""
-    table = _z2_table(state, chan, n_max)
-    ksq = 1.0 / state.n**2
-    terms = []
-    for n in range(chan.target_l + 1, n_max + 1):
-        if n == state.n:
-            if J == 0:
-                terms.append(table[n])
-            continue
-        w = (ksq - 1.0 / n**2) ** J
-        terms.append(w * table[n])
-    return terms
-
-
-def discrete_sum(state: BoundState, chan: Channel, J: int,
-                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Partial discrete sum over n <= n_max (deterministic fsum reduction)."""
-    return math.fsum(_discrete_terms(state, chan, J, spec.n_max))
-
-
-def _discrete_tail_estimate(state: BoundState, chan: Channel, J: int,
-                            spec: QuadratureSpec) -> float:
-    """Richardson-style n^-3 estimate of the truncated tail."""
-    table = _z2_table(state, chan, spec.n_max)
-    n = spec.n_max
-    ksq = 1.0 / state.n**2
-    t_last = abs((ksq - 1.0 / n**2) ** J * table[n])
-    return t_last * n / 2.0
-
-
-# ---------------------------------------------------------------------------
-# continuum integrals
-# ---------------------------------------------------------------------------
-
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = leggauss(order)
-    return _GAUSS_CACHE[order]
-
-
 def _gauss_panels(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Gauss-Legendre on n_panels equal panels
     of [lo, hi]; an integral is math.fsum(weights * f(nodes))."""
-    t, w = _gauss(order)
+    t, w = leggauss(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return (mid + half * t).ravel(), (half * w).ravel()
 
 
-class _ContinuumChannel:
-    """Continuum integrals of one (state, channel) with q = k_m tan(u).
+class _Channel:
+    """Discrete table and continuum node sets of one (state, channel).
 
-    The J-independent part of the u-integrand, w z2(q) k_m sec^2(u), is kept
-    per node set (upper limit in u, panel count, Gauss order), so every
-    order J reuses the same nodes and closed-form elements.
+    The table holds |<state|z|n, l'>|^2 for n = 0..n_max (unused slots 0) and
+    grows in place.  The J-independent part of the continuum u-integrand,
+    w z2(q) k_m sec^2(u) with q = k_m tan(u), is kept per node set (upper
+    limit in u, panel count, Gauss order), so every order J reuses the same
+    nodes and closed-form elements.
     """
 
     def __init__(self, state: BoundState, chan: Channel):
         self.state = state
         self.chan = chan
         self.k_m = 1.0 / state.n
+        self._z2 = [0.0] * (chan.target_l + 1)
         self._nodes: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def z2_table(self, n_max: int) -> list[float]:
+        for n in range(len(self._z2), n_max + 1):
+            self._z2.append(bound_bound_z2_float(self.state, n, self.chan))
+        return self._z2
 
     def integral(self, J: int, n_panels: int, order: int, u_hi: float = 0.5 * math.pi) -> float:
         """int_0^u_hi z2(q) (k_m^2 + q^2)^J dq/du du on composite Gauss-Legendre."""
@@ -169,29 +107,57 @@ class _ContinuumChannel:
         return math.fsum((wz * (self.k_m**2 + q2) ** J).tolist())
 
 
-_CHANNEL_CACHE: dict[tuple[int, int, str], _ContinuumChannel] = {}
+@functools.cache
+def _cached_channel(n: int, l: int, direction: str) -> _Channel:
+    """The one _Channel per (state, channel), shared by every route."""
+    return _Channel(bound_state(n, l), channel(direction, l))
 
 
-def _continuum_channel(state: BoundState, chan: Channel) -> _ContinuumChannel:
-    key = (state.n, state.l, chan.direction)
-    if key not in _CHANNEL_CACHE:
-        _CHANNEL_CACHE[key] = _ContinuumChannel(state, chan)
-    return _CHANNEL_CACHE[key]
+# ---------------------------------------------------------------------------
+# discrete sums
+# ---------------------------------------------------------------------------
 
 
-def continuum_integral(state: BoundState, chan: Channel, J: int,
-                       spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Continuum part of S_J (fixed quadrature; spec keeps discrete_sum's call form)."""
-    value, _ = continuum_integral_with_error(state, chan, J)
-    return value
+def _discrete_terms(state: BoundState, chan: Channel, J: int, n_max: int) -> list[float]:
+    """Weighted terms; degenerate level included only at J = 0 (weight 1)."""
+    table = _cached_channel(state.n, state.l, chan.direction).z2_table(n_max)
+    ksq = 1.0 / state.n**2
+    terms = []
+    for n in range(chan.target_l + 1, n_max + 1):
+        if n == state.n:
+            if J == 0:
+                terms.append(table[n])
+            continue
+        w = (ksq - 1.0 / n**2) ** J
+        terms.append(w * table[n])
+    return terms
+
+
+def discrete_sum(state: BoundState, chan: Channel, J: int, n_max: int = N_MAX) -> float:
+    """Partial discrete sum over n <= n_max (deterministic fsum reduction)."""
+    return math.fsum(_discrete_terms(state, chan, J, n_max))
+
+
+def _discrete_tail_estimate(state: BoundState, chan: Channel, J: int, n_max: int) -> float:
+    """Richardson-style n^-3 estimate of the truncated tail."""
+    table = _cached_channel(state.n, state.l, chan.direction).z2_table(n_max)
+    ksq = 1.0 / state.n**2
+    t_last = abs((ksq - 1.0 / n_max**2) ** J * table[n_max])
+    return t_last * n_max / 2.0
+
+
+# ---------------------------------------------------------------------------
+# continuum integrals
+# ---------------------------------------------------------------------------
 
 
 def continuum_integral_with_error(state: BoundState, chan: Channel, J: int) -> tuple[float, float]:
+    """Continuum part of S_J and its panel-doubling error estimate."""
     if J > max_convergent_order(state):
         raise DivergentSumRule(
             f"continuum part of S_{J} diverges for l = {state.l} (J <= {max_convergent_order(state)})"
         )
-    cc = _continuum_channel(state, chan)
+    cc = _cached_channel(state.n, state.l, chan.direction)
     panels = U_PANELS
     prev = cc.integral(J, panels, GAUSS_ORDER)
     err = math.inf
@@ -214,25 +180,27 @@ def continuum_integral_with_error(state: BoundState, chan: Channel, J: int) -> t
 # ---------------------------------------------------------------------------
 
 
-def compare(state: BoundState, direction: str, J: int,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> SumRuleValue:
+def compare(state: BoundState, direction: str, J: int, n_max: int = N_MAX) -> SumRuleValue:
     """Assemble one row: brute-force split plus exact reference columns.
 
     direction is "plus", "minus" or "total"; a total row fsums the discrete
     parts, the continuum parts and the error estimates of the channels.  The
     closed form is a total, so it fills only total rows and l = 0 rows (whose
-    one channel is the total).
+    one channel is the total).  n_max must exceed the state's n: the tail
+    estimate weights the last level by (1/n^2 - 1/n_max^2)^J.
     """
+    if n_max <= state.n:
+        raise InvalidTruncation(f"n_max must exceed the state's n = {state.n}, not {n_max}")
     if direction == "total":
         directions = ("plus", "minus") if state.l else ("plus",)
     else:
         directions = (direction,)
     discs, conts, errs = [], [], []
     for chan in [channel(d, state.l) for d in directions]:
-        discs.append(discrete_sum(state, chan, J, spec))
+        discs.append(discrete_sum(state, chan, J, n_max))
         cont, quad_err = continuum_integral_with_error(state, chan, J)
         conts.append(cont)
-        errs.append(quad_err + _discrete_tail_estimate(state, chan, J, spec))
+        errs.append(quad_err + _discrete_tail_estimate(state, chan, J, n_max))
     closed = None
     if 0 <= J <= 4 and (state.l == 0 or direction == "total"):
         try:
@@ -326,7 +294,7 @@ def contour_check(J: int) -> ContourReport:
         rows.append((n, circ, term))
     r2 = residue_circle(2, J)
     r2_half = residue_circle(2, J, radius=0.15 / 6.0)
-    cc = _ContinuumChannel(bound_state(1, 0), channel("plus", 0))
-    ref = cc.integral(J, CONTOUR_PANELS, CONTOUR_ORDER, u_hi=math.atan(CONTOUR_Y_CUT))
+    ref = _cached_channel(1, 0, "plus").integral(J, CONTOUR_PANELS, CONTOUR_ORDER,
+                                                 u_hi=math.atan(CONTOUR_Y_CUT))
     return ContourReport(J=J, residue_rows=rows, radius_stability=abs(r2 - r2_half),
                          line_integral=line_integral_imag_axis(J), continuum_reference=ref)

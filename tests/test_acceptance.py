@@ -19,9 +19,8 @@ from dipolesum.errors import DivergentSumRule
 from dipolesum.hydrogen import bound_state, channel
 from dipolesum.ladder import build_f_ladder, build_g_ladder, wronskian_at_origin
 from dipolesum.oracle import (
-    QuadratureSpec,
     compare,
-    continuum_integral,
+    continuum_integral_with_error,
     contour_check,
     discrete_sum,
     max_convergent_order,
@@ -40,7 +39,7 @@ from dipolesum.sumrules import (
     sum_rule_constructive,
 )
 
-SPEC = QuadratureSpec(n_max=2000)
+N_MAX = 2000
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -54,8 +53,8 @@ def _print_resolution(x: float) -> float:
 
 
 def _check_split(state, chan, J, ref_d, ref_c, split_tol):
-    d = discrete_sum(state, chan, J, SPEC)
-    c = continuum_integral(state, chan, J, SPEC)
+    d = discrete_sum(state, chan, J, N_MAX)
+    c = continuum_integral_with_error(state, chan, J)[0]
     tol_d = max(split_tol, _print_resolution(ref_d))
     tol_c = max(split_tol, _print_resolution(ref_c))
     assert abs(d - ref_d) <= tol_d, f"J={J} discrete {d} vs {ref_d}"
@@ -104,7 +103,7 @@ def test_criterion_3_excited_s_table():
         d, c = _check_split(state, chan, J, ref_d, ref_c, 2e-4)
         assert abs(d + c - float(exact[J])) <= 2e-4
     with pytest.raises(DivergentSumRule):
-        continuum_integral(state, chan, 4, SPEC)
+        continuum_integral_with_error(state, chan, 4)
     _report("3 (excited S table)", True, "totals exact incl. 14 and 195")
 
 
@@ -138,7 +137,7 @@ def test_criterion_4_excited_p_tables():
 def test_criterion_5_polarizability():
     """alpha_0 = 9/2 exactly from the order -1 chain; continuum share."""
     assert polarizability_1s() == F(9, 2)
-    cont = continuum_integral(bound_state(1, 0), channel("plus", 0), -1, SPEC)
+    cont = continuum_integral_with_error(bound_state(1, 0), channel("plus", 0), -1)[0]
     assert abs(cont - 0.209185) <= 2e-4
     share = cont / float(F(9, 8))
     _report("5 (polarizability)", True, f"alpha0 = 9/2, continuum share {share:.1%}")
@@ -208,7 +207,7 @@ def test_criterion_8_oracle_closure():
         state = bound_state(n, l)
         for direction in (("plus",) if l == 0 else ("plus", "minus")):
             for J in range(-4, max_convergent_order(state) + 1):
-                row = compare(state, direction, J, SPEC)
+                row = compare(state, direction, J, N_MAX)
                 assert row.constructive is not None
                 gap = abs(row.total - float(row.constructive))
                 assert gap <= max(2e-4, row.estimated_error), (n, l, direction, J, gap)

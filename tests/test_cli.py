@@ -22,6 +22,7 @@ from dipolesum.errors import (
     GridTooShort,
     InvalidOrder,
     InvalidQuantumNumbers,
+    InvalidTruncation,
     NoBoundState,
     NotConverged,
     QuadratureNotConverged,
@@ -228,6 +229,7 @@ class TestExitCodes:
         (RuntimeError("unexpected\nsecond line"), 1),
         (InvalidQuantumNumbers("(n, l) = (2, 2)"), 2),
         (InvalidOrder("order outside the range"), 2),
+        (InvalidTruncation("n_max must exceed the state's n = 2, not 2"), 2),
     ])
     def test_error_kinds(self, capsys, monkeypatch, exc, code):
         def boom(args):
@@ -430,6 +432,78 @@ class TestConfigFile:
         data = json.loads(out)
         assert data["nodes"] == nodes
         assert data["energy"] == pytest.approx(1.5 + 2 * nodes, abs=1e-8)
+
+
+# Per subcommand: the flags it requires, and for each config key values that
+# argparse accepts (a later check may still reject some: nmax=1, tol=nan).
+_CONFIG_KEYS = {
+    "table": ([], {"state": ["1s", "2p", "3d", "5s"], "potential": ["gamma=2", "coulomb"],
+                   "nodes": ["0", "1"], "l": ["0", "1"],
+                   "orders": ["0..1", "-2..0", "3..4", "2..1"],
+                   "channel": ["plus", "minus", "total", "both"], "nmax": ["1", "3", "40"],
+                   "tol": ["1e-3", "0", "-1", "nan"], "format": ["text", "json", "csv"]}),
+    "verify": ([], {"suite": ["paper-tables", "equivalences", "contour"],
+                    "tol": ["1e-3", "-1"], "nmax": ["2", "40"], "format": ["text", "json"]}),
+    "matrix": (["state", "to-n", "channel"],
+               {"state": ["1s", "2p", "3d"], "to-n": ["1", "3", "40"],
+                "channel": ["plus", "minus"], "format": ["text", "json"]}),
+    "kramers": (["state"], {"state": ["1s", "2p", "3d"], "orders": ["0..3", "-1..1", "1..0"],
+                            "format": ["text", "json"]}),
+    "potential": (["potential"], {"potential": ["gamma=2", "coulomb"], "l": ["0", "1"],
+                                  "nodes": ["0", "1"], "format": ["text", "json"]}),
+}
+# digit-free, so a junk value never asks for a costly level or order
+_JUNK = st.one_of(st.sampled_from(["", "xml", "-1", "1.5", "0..", "1s s", "gamma=x", "inf"]),
+                  st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                        blacklist_categories=["Nd"]), max_size=6))
+_UNKNOWN_KEYS = ["foo", "Format", "nmax2", "", "config", "command", "help", "to_nn"]
+_NOISE_LINES = ["", "   ", "# nmax=-5", "  # state=9z", "; not a pair", "[table]", "state"]
+
+
+def _capture(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestConfigFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(command=st.sampled_from(sorted(_CONFIG_KEYS)), inline=st.booleans(), data=st.data())
+    def test_exit_contract_and_flag_precedence(self, tmp_path_factory, command, inline, data):
+        required, pools = _CONFIG_KEYS[command]
+        extra = data.draw(st.sets(st.sampled_from(sorted(pools)), max_size=2))
+        flags = {k: data.draw(st.sampled_from(pools[k])) for k in sorted({*required, *extra})}
+        lines = []   # (key it sets or None, text)
+        for _ in range(data.draw(st.integers(0, 8))):
+            kind = data.draw(st.sampled_from(["key", "unknown", "noise"]))
+            if kind == "noise":
+                lines.append((None, data.draw(st.sampled_from(_NOISE_LINES))))
+                continue
+            key = data.draw(st.sampled_from(sorted(pools) if kind == "key" else _UNKNOWN_KEYS))
+            spelling = data.draw(st.sampled_from([key, f"  {key} ", key.replace("-", "_")]))
+            # a key that a flag also sets gets a value argparse accepts, so
+            # that only precedence decides which one is used
+            values = st.sampled_from(pools[key]) if key in pools else _JUNK
+            value = data.draw(values if key in flags else st.one_of(values, _JUNK))
+            sep = data.draw(st.sampled_from(["=", " = "]))
+            lines.append((key if key in pools else None, f"{spelling}{sep}{value}"))
+        folder = tmp_path_factory.mktemp("cfg")
+
+        def run(config_lines):
+            path = folder / f"{len(config_lines)}.cfg"
+            path.write_text("".join(text + "\n" for _, text in config_lines))
+            opt = [f"--config={path}"] if inline else ["--config", str(path)]
+            return _capture([*opt, command, *(f"--{k}={v}" for k, v in flags.items())])
+
+        code, out, err = run(lines)
+        assert code in (0, 1, 2), (lines, flags)
+        assert "Traceback" not in out + err
+        if flags:
+            # with the flagged keys dropped from the file, nothing changes
+            kept = [line for line in lines if line[0] not in flags]
+            if len(kept) < len(lines):
+                assert run(kept) == (code, out, err), (lines, flags)
 
 
 class TestVerify:

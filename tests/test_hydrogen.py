@@ -17,7 +17,6 @@ from dipolesum.errors import (
     NonPositiveQ,
 )
 from dipolesum.hydrogen import (
-    WaveSpec,
     _z2_factors,
     bound_bound_z2,
     bound_bound_z2_float,
@@ -192,7 +191,7 @@ class TestContinuumWaves:
         assert got == pytest.approx(continuum_z2_1s(q), rel=1e-6)
 
     def test_orthogonal_to_bound_state(self):
-        wave = continuum_wave(1, 0.7, WaveSpec(rho_max=60.0))
+        wave = continuum_wave(1, 0.7, rho_max=60.0)
         ip = simpson(bound_state(2, 1).values(wave.grid) * wave.values, dx=wave.h)
         assert abs(ip) < 1e-8
 
@@ -202,20 +201,19 @@ class TestContinuumWaves:
 
     def test_envelope_needs_asymptotic_window(self):
         with pytest.raises(GridTooShort):
-            envelope_amplitude(continuum_wave(0, 0.05, WaveSpec(rho_max=50.0)))
+            envelope_amplitude(continuum_wave(0, 0.05, rho_max=50.0))
 
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatch):
-            bound_free_z2(bound_state(1, 0), continuum_wave(0, 1.0, WaveSpec(rho_max=40.0)))
+            bound_free_z2(bound_state(1, 0), continuum_wave(0, 1.0, rho_max=40.0))
 
     def test_reduced_route_matches_direct(self):
         """The direct Numerov route on a long grid agrees with the closed form
         at the (state, l', q) points of the former q^2-reduced route."""
-        spec = WaveSpec(rho_max=90.0)
         for st, direction, q in [(bound_state(2, 0), "plus", 2.0), (bound_state(2, 1), "minus", 3.0),
                                  (bound_state(2, 1), "plus", 1.5)]:
             ch = channel(direction, st.l)
-            a = bound_free_z2(st, continuum_wave(ch.target_l, q, spec))
+            a = bound_free_z2(st, continuum_wave(ch.target_l, q, rho_max=90.0))
             b = float(bound_free_z2_closed(st, ch, q))
             assert b == pytest.approx(a, rel=1e-6)
 
@@ -247,7 +245,7 @@ class TestBoundFreeClosedForm:
     ])
     def test_matches_numerov(self, l, direction, q):
         st, ch = bound_state(2, l), channel(direction, l)
-        got = bound_free_z2(st, continuum_wave(ch.target_l, q, WaveSpec(rho_max=90.0)))
+        got = bound_free_z2(st, continuum_wave(ch.target_l, q, rho_max=90.0))
         assert got == pytest.approx(float(bound_free_z2_closed(st, ch, q)), rel=1e-6)
 
     @pytest.mark.parametrize("n,l,direction,q", [(3, 0, "plus", 0.3), (3, 2, "plus", 1.0),
