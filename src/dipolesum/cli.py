@@ -428,9 +428,16 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors, its subcommands' too, are one
+    "error:" line on stderr and exit 2."""
+
+    def error(self, message: str):
+        raise SystemExit(_usage_error(message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="dipolesum",
-                                description="energy-weighted dipole sum rules")
+    p = _Parser(prog="dipolesum", description="energy-weighted dipole sum rules")
     p.add_argument("--config", help="key=value config file (flags override)")
     sub = p.add_subparsers(dest="command", required=True)
 

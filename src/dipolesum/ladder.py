@@ -5,22 +5,29 @@ rho * R_nl; negative rungs invert it with regular/decaying boundary conditions
 and, in degenerate channels, orthogonality to the normalizable homogeneous
 solution.  All rungs share the seed state's squared normalization factor, so
 overlaps of two rungs are exact rationals: overlap(poly_i, poly_j) * norm2.
+Each (state, channel) has one cached LadderFamily, family(n, l, direction),
+whose rung lists grow in place to the depth a caller asks for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import exactalg as xa
+from .errors import InvalidOrder
 from .exactalg import PolyExp
-from .hydrogen import BoundState, Channel, bound_state
+from .hydrogen import BoundState, Channel, bound_state, channel
 from .potentials import COULOMB
+
+# deepest positive rung: F_5 of a low-l state falls below exactalg's rho^-4 floor
+MAX_F_RUNG = 4
 
 
 @dataclass
 class LadderFamily:
-    """All ladder data for one (state, channel).
+    """All ladder data for one (state, channel), grown in place.
 
     positive[j] = F_j for j = 0..;  negative[j] = G_j for j = 0.. with
     negative[0] the projected seed.  seed_raw is the unprojected rho * R,
@@ -41,6 +48,56 @@ class LadderFamily:
     def pair_overlap(self, f: PolyExp, g: PolyExp) -> Fraction:
         return xa.overlap(f, g) * self.norm2
 
+    def _project(self, poly: PolyExp) -> PolyExp:
+        """Remove the homogeneous component: poly - R~ <R~|poly> in family scaling.
+
+        With u = poly sqrt(N) and R~ = r sqrt(M), the subtraction coefficient in
+        the family scaling is overlap(r, poly) * M, which is rational.
+        """
+        if self.homogeneous is None:
+            return poly
+        coeff = xa.overlap(self.homogeneous, poly) * self.hom_norm2
+        return xa.sub(poly, xa.scale(self.homogeneous, coeff))
+
+    def grow_f(self, max_j: int) -> LadderFamily:
+        """Build the positive rungs through F_max_j; Coulomb only, max_j <= MAX_F_RUNG.
+
+        In a degenerate minus channel the stored F_0 is the projected seed while
+        seed_raw keeps the bare rho * R for order-0 sums.
+        """
+        if max_j > MAX_F_RUNG:
+            raise InvalidOrder(f"positive ladder built at most to j = {MAX_F_RUNG}")
+        if not self.positive:
+            minus = self.channel.direction == "minus"
+            self.positive.append(self._project(self.seed_raw) if minus else self.seed_raw)
+        while len(self.positive) <= max_j:
+            self.positive.append(xa.apply_h(self.positive[-1], self.channel.target_l,
+                                            self.state.ksq, COULOMB))
+        return self
+
+    def grow_g(self, max_j: int) -> LadderFamily:
+        """Build the negative rungs through G_max_j by projected inhomogeneous solves."""
+        if not self.negative:
+            self.negative.append(self._project(self.seed_raw))
+        while len(self.negative) <= max_j:
+            rhs = self._project(self.negative[-1])
+            self.negative.append(xa.solve_inhomogeneous(
+                rhs, self.channel.target_l, self.state.ksq, COULOMB,
+                homogeneous=self.homogeneous))
+        return self
+
+
+@functools.cache
+def family(n: int, l: int, direction: str) -> LadderFamily:
+    """The one LadderFamily per (state, channel), shared by every route."""
+    state, chan = bound_state(n, l), channel(direction, l)
+    fam = LadderFamily(state=state, channel=chan, norm2=state.norm2,
+                       seed_raw=xa.shift(state.radial, 1))
+    if 0 <= chan.target_l <= n - 1:
+        hom = bound_state(n, chan.target_l)
+        fam.homogeneous, fam.hom_norm2 = hom.radial, hom.norm2
+    return fam
+
 
 @dataclass(frozen=True)
 class WronskianValue:
@@ -60,60 +117,14 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-def _family_base(state: BoundState, chan: Channel) -> LadderFamily:
-    seed = xa.shift(state.radial, 1)
-    fam = LadderFamily(state=state, channel=chan, norm2=state.norm2, seed_raw=seed)
-    lp = chan.target_l
-    if 0 <= lp <= state.n - 1:
-        hom = bound_state(state.n, lp)
-        fam.homogeneous = hom.radial
-        fam.hom_norm2 = hom.norm2
-    return fam
-
-
-def _project(fam: LadderFamily, poly: PolyExp) -> PolyExp:
-    """Remove the homogeneous component: poly - R~ <R~|poly> in family scaling.
-
-    With u = poly sqrt(N) and R~ = r sqrt(M), the subtraction coefficient in
-    the family scaling is overlap(r, poly) * M, which is rational.
-    """
-    if fam.homogeneous is None:
-        return poly
-    coeff = xa.overlap(fam.homogeneous, poly) * fam.hom_norm2
-    return xa.sub(poly, xa.scale(fam.homogeneous, coeff))
-
-
 def build_f_ladder(state: BoundState, chan: Channel, max_j: int) -> LadderFamily:
-    """Positive rungs F_0..F_max_j; Coulomb only, max_j <= 4.
-
-    In a degenerate minus channel the stored F_0 is the projected seed while
-    seed_raw keeps the bare rho * R for order-0 sums.
-    """
-    if max_j > 4:
-        raise ValueError("positive ladder built at most to j = 4")
-    fam = _family_base(state, chan)
-    f0 = fam.seed_raw
-    if chan.direction == "minus" and fam.homogeneous is not None:
-        f0 = _project(fam, f0)
-    fam.positive = [f0]
-    for _ in range(max_j):
-        fam.positive.append(
-            xa.apply_h(fam.positive[-1], chan.target_l, state.ksq, COULOMB)
-        )
-    return fam
+    """The shared family of (state, chan) with rungs F_0..F_max_j built."""
+    return family(state.n, state.l, chan.direction).grow_f(max_j)
 
 
 def build_g_ladder(state: BoundState, chan: Channel, max_j: int) -> LadderFamily:
-    """Negative rungs G_0..G_max_j via projected inhomogeneous solves."""
-    fam = _family_base(state, chan)
-    fam.negative = [_project(fam, fam.seed_raw)]
-    for _ in range(max_j):
-        rhs = _project(fam, fam.negative[-1])
-        sol = xa.solve_inhomogeneous(
-            rhs, chan.target_l, state.ksq, COULOMB, homogeneous=fam.homogeneous
-        )
-        fam.negative.append(sol)
-    return fam
+    """The shared family of (state, chan) with rungs G_0..G_max_j built."""
+    return family(state.n, state.l, chan.direction).grow_g(max_j)
 
 
 def ladder_rung(fam: LadderFamily, j: int) -> PolyExp:
@@ -123,7 +134,7 @@ def ladder_rung(fam: LadderFamily, j: int) -> PolyExp:
     seed rho * R; projection only shifts F_0 by a multiple of the homogeneous
     solution, which every rung with j >= 1 annihilates.
     """
-    return fam.seed_raw if j == 0 else fam.positive[j]
+    return fam.seed_raw if j == 0 else fam.grow_f(j).positive[j]
 
 
 def wronskian_at_origin(fam: LadderFamily, j: int, k: int):

@@ -233,13 +233,16 @@ def _contour_integrand(v, J: int):
             / (1.0 - np.exp(-2.0j * math.pi / v)))
 
 
-def residue_circle(n: int, J: int, radius: float | None = None, m_points: int = 256) -> float:
+RESIDUE_POINTS = 256   # trapezoid points on each residue circle
+
+
+def residue_circle(n: int, J: int, radius: float | None = None) -> float:
     """Closed-circle integral around v = 1/n (counterclockwise, trapezoid)."""
     if radius is None:
         radius = 0.3 / (n * (n + 1))
     center = 1.0 / n
-    dv = radius * np.exp(2j * math.pi * np.arange(m_points) / m_points)
-    total = np.sum(_contour_integrand(center + dv, J) * 1j * dv) * (2.0 * math.pi / m_points)
+    dv = radius * np.exp(2j * math.pi * np.arange(RESIDUE_POINTS) / RESIDUE_POINTS)
+    total = np.sum(_contour_integrand(center + dv, J) * 1j * dv) * (2.0 * math.pi / RESIDUE_POINTS)
     return float(total.real)
 
 

@@ -378,6 +378,12 @@ def _match_defect(rho2, veff, energy, hx, w0):
     return defect, w, nodes
 
 
+# Points of the shooter's first log grid (each retry has 1.3 times more) and the
+# relative bracket width at which its level search stops
+SHOOT_POINTS = 8192
+SHOOT_REL_TOL = 1e-12
+
+
 def solve_bound(
     v0: Potential,
     l: int,
@@ -385,8 +391,6 @@ def solve_bound(
     *,
     rho_min: float = 1e-8,
     rho_max: float | None = None,
-    n_points: int = 8192,
-    rel_tol: float = 1e-12,
 ) -> GridFunction:
     """Bound eigenstate of v0 with given angular momentum and node count."""
     if l < 0 or nodes < 0:
@@ -397,6 +401,7 @@ def solve_bound(
     if rho_max is None:
         rho_max = _default_rho_max(v0, l, nodes)
 
+    n_points = SHOOT_POINTS
     for _attempt in range(3):
         # Numerov's f = 1 - hx^2 W / 12 at the level turns negative far out in steep
         # confining potentials: there the grid ends where hx^2 max W / 12 is 1/2
@@ -441,7 +446,7 @@ def solve_bound(
         # a thousandth of the mesh level, binds only for a bracket about zero
         side = 0
         for _ in range(80):
-            tol = rel_tol * max(abs(a), abs(b), 1e-3 * abs(e[nodes]))
+            tol = SHOOT_REL_TOL * max(abs(a), abs(b), 1e-3 * abs(e[nodes]))
             energy = min(max((a * fb - b * fa) / (fb - fa), a + tol), b - tol)
             fc, w, nd = _match_defect(rho2, veff, energy, hx, w0)
             if fc * fb > 0.0:   # the level is below: move b, halve fa if a is stuck

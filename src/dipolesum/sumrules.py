@@ -29,15 +29,8 @@ from .errors import (
     NonPositiveScale,
     OutOfValidityRange,
 )
-from .hydrogen import BoundState, Channel, bound_state, channel, expectation_rho_power
-from .ladder import (
-    INFINITE,
-    LadderFamily,
-    build_f_ladder,
-    build_g_ladder,
-    ladder_rung,
-    wronskian_at_origin,
-)
+from .hydrogen import BoundState, Channel, expectation_rho_power
+from .ladder import INFINITE, LadderFamily, family, ladder_rung, wronskian_at_origin
 from .potentials import GridFunction, Potential, grid_expectation, grid_f_ladder, grid_overlap
 
 
@@ -70,52 +63,23 @@ def sum_rule_constructive(fam: LadderFamily, J: int) -> Fraction:
     """Exact channel value via the canonical pairing K = floor(|J|/2).
 
     Order 0 pairs the unprojected seed with itself; negative orders pair the
-    projected inverse rungs.
+    projected inverse rungs.  The family grows the rungs the order needs.
     """
-    w = fam.channel.weight
     if J == 0:
-        return w * fam.pair_overlap(fam.seed_raw, fam.seed_raw)
-    if J > 0:
-        k = J // 2
-        if len(fam.positive) <= J - k:
-            raise InvalidOrder(f"ladder built only to j={len(fam.positive) - 1}")
-        return w * fam.pair_overlap(fam.positive[k], fam.positive[J - k])
-    jj = -J
-    k = jj // 2
-    if len(fam.negative) <= jj - k:
-        raise InvalidOrder(f"inverse ladder built only to j={len(fam.negative) - 1}")
-    return w * fam.pair_overlap(fam.negative[k], fam.negative[jj - k])
-
-
-def coulomb_families(n: int, l: int, max_pos: int = 3, max_neg: int = 4):
-    """(plus) and optional (minus) ladder families for a Coulomb state."""
-    state = bound_state(n, l)
-    out = {}
-    for direction in ("plus", "minus"):
-        if direction == "minus" and l == 0:
-            continue
-        chan = channel(direction, l)
-        fam = build_f_ladder(state, chan, max_pos)
-        fam.negative = build_g_ladder(state, chan, max_neg).negative
-        out[direction] = fam
-    return out
-
-
-_FAMILY_CACHE: dict[tuple[int, int], dict] = {}
+        return fam.channel.weight * fam.pair_overlap(fam.seed_raw, fam.seed_raw)
+    k = abs(J) // 2
+    rungs = fam.grow_f(J - k).positive if J > 0 else fam.grow_g(-J - k).negative
+    return fam.channel.weight * fam.pair_overlap(rungs[k], rungs[abs(J) - k])
 
 
 def constructive_value(n: int, l: int, direction: str, J: int) -> Fraction | None:
-    """Cached exact channel or total value for a Coulomb state."""
-    key = (n, l)
-    need_neg = (-J) - (-J) // 2 if J < 0 else 0
-    fams = _FAMILY_CACHE.get(key)
-    if fams is None or any(len(f.negative) <= need_neg for f in fams.values()):
-        fams = coulomb_families(n, l, max_pos=min(4, 3 + l), max_neg=max(6, need_neg + 1))
-        _FAMILY_CACHE[key] = fams
+    """Exact channel or total value of a Coulomb state from its shared ladder
+    families; None for the minus channel of an s state."""
     if direction == "total":
-        return sum(sum_rule_constructive(f, J) for f in fams.values())
-    fam = fams.get(direction)
-    return None if fam is None else sum_rule_constructive(fam, J)
+        return sum(constructive_value(n, l, d, J) for d in ("plus", "minus")[: 1 + (l > 0)])
+    if direction == "minus" and l == 0:
+        return None
+    return sum_rule_constructive(family(n, l, direction), J)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +196,7 @@ def polarizability_1s() -> Fraction:
 
     Derived from the order -1 sum (alpha0 = 4 S_{-1}), not hard-coded.
     """
-    fam = build_g_ladder(bound_state(1, 0), channel("plus", 0), 1)
-    s_m1 = fam.channel.weight * fam.pair_overlap(fam.negative[0], fam.negative[1])
-    return 4 * s_m1
+    return 4 * constructive_value(1, 0, "plus", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +407,6 @@ class EquivalenceEntry:
     j: int
     k: int
     overlap: Fraction | None      # <F_j | F_k> in family scaling, None if divergent
-    wronskian: object | None      # WronskianValue | INFINITE | None
 
 
 @dataclass
@@ -475,7 +436,7 @@ def equivalence_suite(fam: LadderFamily, J: int) -> EquivalenceReport:
             ov = fam.pair_overlap(ladder_rung(fam, j), ladder_rung(fam, k))
         except DivergentAtOrigin:
             ov = None
-        entries.append(EquivalenceEntry(j=j, k=k, overlap=ov, wronskian=None))
+        entries.append(EquivalenceEntry(j=j, k=k, overlap=ov))
     identities = []
     for j in range(0, (J - 1) // 2 + 1):
         k = J - 1 - j

@@ -251,6 +251,26 @@ class TestExitCodes:
             assert code == 2, argv
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--state", "2p", "--to-n", "3", "--channel", "plus", "--format", "xml"],
+        ["table", "--potential", "log", "--nodes", "-1"],
+        [],
+        ["table", "--state", "1s", "--bogus"],
+        ["--config"],
+    ])
+    def test_argparse_errors_are_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: dipolesum")
+        assert err == ""
+
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_keeps_the_verdict(self, unbuffered):
         # A one-page pipe cannot take the 4.8 kB table, so the reader reads one
@@ -499,6 +519,8 @@ class TestConfigFuzz:
         code, out, err = run(lines)
         assert code in (0, 1, 2), (lines, flags)
         assert "Traceback" not in out + err
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (lines, err)
         if flags:
             # with the flagged keys dropped from the file, nothing changes
             kept = [line for line in lines if line[0] not in flags]

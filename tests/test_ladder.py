@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from dipolesum import exactalg as xa
-from dipolesum.errors import DivergentAtOrigin, QuadratureNotConverged
+from dipolesum import ladder
+from dipolesum.errors import DivergentAtOrigin, InvalidOrder, QuadratureNotConverged
 from dipolesum.hydrogen import bound_state, channel
 from dipolesum.ladder import (
     INFINITE,
@@ -16,7 +17,7 @@ from dipolesum.ladder import (
     wronskian_at_origin,
 )
 from dipolesum.potentials import COULOMB, GridFunction, _default_rho_max, negative_sum_rules
-from dipolesum.sumrules import constructive_value
+from dipolesum.sumrules import constructive_value, sum_rule_constructive
 
 
 def normed(fam, poly_coeffs, rate, norm2):
@@ -133,6 +134,35 @@ class TestPairingEquivalence:
                         continue
                     assert wr is not INFINITE
                     assert left - right == wr.value
+
+
+class TestSharedFamily:
+    def test_one_object_per_state_and_channel(self):
+        state, chan = bound_state(3, 1), channel("minus", 1)
+        fam = ladder.family(3, 1, "minus")
+        assert build_f_ladder(state, chan, 2) is fam
+        assert build_g_ladder(state, chan, 2) is fam
+        constructive_value(3, 1, "minus", -13)      # grows fam to G_7
+        g7 = fam.negative[7]
+        assert build_g_ladder(state, chan, 7).negative[7] is g7
+        f2 = fam.positive[2]
+        constructive_value(3, 1, "minus", 4)        # pairs F_2 with itself
+        assert fam.positive[2] is f2
+
+    def test_growth_order_does_not_change_values(self):
+        for n in range(1, 5):
+            for l in range(n):
+                for direction in ("plus", "minus")[: 1 + (l > 0)]:
+                    orders = range(-8, 4 + l)
+                    deep = {J: constructive_value(n, l, direction, J) for J in reversed(orders)}
+                    fresh = ladder.family.__wrapped__(n, l, direction)
+                    shallow = {J: sum_rule_constructive(fresh, J) for J in orders}
+                    assert deep == shallow, (n, l, direction)
+
+    @pytest.mark.parametrize("J", [9, 10])
+    def test_fifth_positive_rung_is_an_invalid_order(self, J):
+        with pytest.raises(InvalidOrder):
+            sum_rule_constructive(ladder.family(2, 1, "plus"), J)
 
 
 def _exact_on_log_grid(n, l, rho_max):
