@@ -10,12 +10,9 @@ from .exactalg import PolyExp, add, apply_h, differentiate, overlap, polyexp, so
 from .hydrogen import (
     BoundState,
     Channel,
-    ContinuumWave,
     bound_bound_z2,
-    bound_free_z2,
     bound_state,
     channel,
-    continuum_wave,
     continuum_z2_1s,
     expectation_rho_power,
 )

@@ -197,6 +197,12 @@ def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
     return rows
 
 
+def _closed(row: dict):
+    """The closed form a row is checked against: the Coulomb form, else the
+    expectation form of a potential row (None when there is neither)."""
+    return row["closed_form"] if row["closed_form"] is not None else row.get("reference")
+
+
 def _emit(rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
         json.dump(rows, stream, indent=2, default=float)
@@ -208,7 +214,7 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
         for r in rows:
             writer.writerow([r.get("J"), r.get("channel"),
                              r.get("discrete"), r.get("continuum"), r.get("total"),
-                             r.get("constructive"), r.get("closed_form"),
+                             r.get("constructive"), _closed(r),
                              r.get("pass")])
         return
     for r in rows:
@@ -218,10 +224,9 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
 
         def _f(x):
             return "      -" if x is None else (f"{x:.6f}" if isinstance(x, float) else str(x))
-        closed = r["closed_form"] if r["closed_form"] is not None else r.get("reference")
         print(f"J={r['J']:+d} {r['channel']:>6}: discrete={_f(r['discrete'])} "
               f"continuum={_f(r['continuum'])} total={_f(r['total'])} "
-              f"constructive={_f(r['constructive'])} closed={_f(closed)} "
+              f"constructive={_f(r['constructive'])} closed={_f(_closed(r))} "
               f"{'PASS' if r['pass'] else 'FAIL'}", file=stream)
 
 

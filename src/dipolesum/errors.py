@@ -48,14 +48,6 @@ class NonPositiveQ(DipoleSumError):
     """Continuum wavenumber must be positive."""
 
 
-class GridTooShort(NumericalFailure):
-    """Grid does not reach far enough into the asymptotic region."""
-
-
-class ChannelMismatch(DipoleSumError):
-    """Continuum wave angular momentum is not a dipole partner of the state."""
-
-
 class QuadratureNotConverged(NumericalFailure):
     """Iterated quadrature failed to reach the requested tolerance."""
 
@@ -86,10 +78,6 @@ class OutOfValidityRange(DipoleSumError):
 
 class DivergentExpectation(DipoleSumError):
     """Expectation value does not exist for this state."""
-
-
-class NonPositiveScale(DipoleSumError):
-    """Physical scale inputs must be positive."""
 
 
 class DivergentSumRule(DipoleSumError):

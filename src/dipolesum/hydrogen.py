@@ -1,4 +1,4 @@
-"""Coulomb bound and continuum states in the scaled variable rho = r/a0.
+"""Coulomb bound states and bound-free elements in the scaled variable rho = r/a0.
 
 Bound states are exact: the reduced radial function u_nl = rho R_nl(full) is a
 rational polynomial times exp(-rho/n) together with a rational squared
@@ -9,11 +9,9 @@ Continuum states are energy-normalized in wavenumber: asymptotically
 
     u_q(rho) -> sqrt(2/pi) sin(q rho + log(2 q rho)/q - l pi/2 + sigma_l).
 
-Bound-free elements have a closed form (bound_free_z2_closed), which the
-oracle uses.  The paper's independent numeric route stays here as well:
-waves integrated outward with Numerov and normalized by matching one
-interior point against the exact regular solution evaluated by power series
-(with the closed-form amplitude constant), then bound_free_z2 by quadrature.
+Bound-free elements come in closed form (bound_free_z2_closed), a finite
+sum of Laplace transforms of the regular Coulomb function; no continuum wave
+is integrated.
 """
 
 from __future__ import annotations
@@ -26,17 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactalg as xa
-from .errors import (
-    ChannelMismatch,
-    DivergentAtOrigin,
-    GridTooShort,
-    InvalidQuantumNumbers,
-    NonPositiveQ,
-)
+from .errors import DivergentAtOrigin, InvalidQuantumNumbers, NonPositiveQ
 from .exactalg import PolyExp
-from .integrate import simpson
-
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +228,19 @@ def continuum_z2_1s(q: float) -> float:
     return (256.0 / 3.0) * q * (1.0 + q * q) ** -5 * math.exp(-4.0 * math.atan(q) / q) / denom
 
 
+def _ln_coulomb_c2(l: int, q):
+    """ln C_l(eta)^2 at eta = -1/q, for a float or an array of q > 0:
+
+    ln C_l^2 = l ln 4 + ln(2 pi |eta|) - ln(1 - exp(-2 pi |eta|))
+               + sum_{j=1..l} ln(j^2 + eta^2) - 2 ln (2l+1)!
+    """
+    x = 2.0 * np.pi / q
+    out = l * math.log(4.0) + np.log(x) - np.log(-np.expm1(-x))
+    for j in range(1, l + 1):
+        out = out + np.log(j * j + 1.0 / (q * q))
+    return out - 2.0 * math.lgamma(2 * l + 2)
+
+
 def bound_free_z2_closed(state: BoundState, chan: Channel, q) -> np.ndarray:
     """|<n,l| z |q, l'>|^2 with the angular weight, in closed form, for an array of q.
 
@@ -317,160 +319,3 @@ def reference_expectation(m: int, l: int, p: int) -> Fraction:
         return (Fraction(1, m**3) * (3 - Fraction(lam, m * m))
                 * Fraction(4, lam * (2 * l + 3) * (2 * l + 1) * (2 * l - 1)))
     raise ValueError("no closed form tabulated for this power")
-
-
-# ---------------------------------------------------------------------------
-# continuum waves
-# ---------------------------------------------------------------------------
-
-
-# Numerov step h = min(WAVE_STEP_CAP, 1/(WAVE_STEPS_PER_WAVELENGTH q)); the
-# scale is matched at x = q rho <= WAVE_MATCH_X.
-WAVE_STEP_CAP = 1.0 / 40.0
-WAVE_STEPS_PER_WAVELENGTH = 20.0
-WAVE_MATCH_X = 3.0
-
-
-@dataclass
-class ContinuumWave:
-    l: int
-    q: float
-    grid: np.ndarray
-    values: np.ndarray
-    h: float
-
-
-def _ln_coulomb_c2(l: int, q):
-    """ln C_l(eta)^2 at eta = -1/q, for a float or an array of q > 0:
-
-    ln C_l^2 = l ln 4 + ln(2 pi |eta|) - ln(1 - exp(-2 pi |eta|))
-               + sum_{j=1..l} ln(j^2 + eta^2) - 2 ln (2l+1)!
-    """
-    x = 2.0 * np.pi / q
-    out = l * math.log(4.0) + np.log(x) - np.log(-np.expm1(-x))
-    for j in range(1, l + 1):
-        out = out + np.log(j * j + 1.0 / (q * q))
-    return out - 2.0 * math.lgamma(2 * l + 2)
-
-
-def coulomb_f_regular(l: int, q: float, x: float) -> float:
-    """Exact regular Coulomb function F_l(eta=-1/q, x) with unit asymptotic
-    amplitude, via its normalized power series C_l x^(l+1) sum a_j x^j.
-
-    Accurate while the series cancellation stays mild; callers keep
-    x <= min(3, 20 q) so the working loss is under ~6 digits.
-    """
-    eta = -1.0 / q
-    a_prev2 = 0.0
-    a_prev = 1.0
-    s = 1.0
-    p = 1.0
-    for j in range(1, 400):
-        a = (2.0 * eta * a_prev - a_prev2) / (j * (j + 2 * l + 1))
-        p *= x
-        term = a * p
-        s += term
-        a_prev2, a_prev = a_prev, a
-        if j > 8 and abs(term) < 1e-18 * max(1.0, abs(s)):
-            break
-    return math.exp(0.5 * float(_ln_coulomb_c2(l, q))) * x ** (l + 1) * s
-
-
-def continuum_wave(l: int, q: float, rho_max: float | None = None) -> ContinuumWave:
-    """Energy-normalized continuum wave by outward Numerov integration.
-
-    Numerov starts from the regular Coulomb series at the first two grid
-    points.  The overall scale is fixed by matching one interior grid point
-    against sqrt(2/pi) * F_l evaluated from the exact series; a second point
-    checks consistency.
-
-    rho_max = None applies max(40, 30/q), enough for the wave's own
-    calibration but not for a bound-free quadrature, which needs the whole
-    support of the bound state; that support grows like n^2.  At q = 2 the
-    2s and 2p elements from bound_free_z2 are off by up to 1.5e-3 with the
-    default grid and agree with bound_free_z2_closed to 5e-7 with
-    rho_max = 90.
-    """
-    if q <= 0:
-        raise NonPositiveQ("q must be positive")
-    if rho_max is None:
-        rho_max = max(40.0, 30.0 / q)
-    h = min(WAVE_STEP_CAP, 1.0 / (WAVE_STEPS_PER_WAVELENGTH * q))
-    n = int(math.ceil(rho_max / h)) + 1
-    rho = h * np.arange(1, n + 1)
-    w = l * (l + 1) / rho**2 - 2.0 / rho - q * q
-    f = 1.0 - (h * h / 12.0) * w
-
-    u = np.empty(n)
-    u[0] = coulomb_f_regular(l, q, q * rho[0])
-    u[1] = coulomb_f_regular(l, q, q * rho[1])
-    flist = f.tolist()
-    ulist = u.tolist()
-    up, uc = ulist[0], ulist[1]
-    fp, fc = flist[0], flist[1]
-    for i in range(2, n):
-        fn = flist[i]
-        un = ((12.0 - 10.0 * fc) * uc - fp * up) / fn
-        ulist[i] = un
-        up, uc = uc, un
-        fp, fc = fc, fn
-    u = np.asarray(ulist)
-
-    # normalization: match the exact regular solution where the series is safe
-    x_m = min(WAVE_MATCH_X, 20.0 * q)
-    idx0 = min(int(round(x_m / (q * h))), n - 1)
-    candidates = sorted({max(2, idx0 - k) for k in range(0, idx0 // 2 + 1, max(1, idx0 // 8))})
-    best = max(candidates, key=lambda i: abs(u[i]))
-    scale = SQRT_2_OVER_PI * coulomb_f_regular(l, q, q * rho[best]) / u[best]
-    others = [i for i in candidates if i != best and abs(u[i]) > 0.2 * abs(u[best])]
-    if others:
-        alt = others[-1]
-        scale_alt = SQRT_2_OVER_PI * coulomb_f_regular(l, q, q * rho[alt]) / u[alt]
-        if abs(scale_alt / scale - 1.0) > 1e-6:
-            raise GridTooShort("normalization points disagree; grid or series unsafe")
-    return ContinuumWave(l=l, q=q, grid=rho, values=u * scale, h=h)
-
-
-def envelope_amplitude(wave: ContinuumWave) -> float:
-    """Asymptotic amplitude from a sine/cosine fit over the last three local
-    wavelengths, with the leading WKB envelope factor removed.
-
-    Diagnostic: for a normalized wave this returns sqrt(2/pi) up to the
-    residual O(1/(q rho)^2) asymptotic corrections.
-    """
-    q, rho, u = wave.q, wave.grid, wave.values
-    lam = 2.0 * math.pi / q
-    lo = rho[-1] - 3.0 * lam
-    if lo < max(10.0, 4.0 * lam / (2.0 * math.pi)):
-        raise GridTooShort("fewer than three asymptotic wavelengths on the grid")
-    sel = rho >= lo
-    if np.count_nonzero(sel) < 24:
-        raise GridTooShort("too few points in the asymptotic window")
-    r = rho[sel]
-    k_local = np.sqrt(q * q + 2.0 / r - wave.l * (wave.l + 1) / r**2)
-    phase = np.concatenate([[0.0], np.cumsum(0.5 * (k_local[1:] + k_local[:-1]) * np.diff(r))])
-    y = u[sel] * np.sqrt(k_local / q)
-    design = np.column_stack([np.sin(phase), np.cos(phase)])
-    (a, b), *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(math.hypot(a, b))
-
-
-def _channel_for_wave(state: BoundState, wave: ContinuumWave) -> Channel:
-    if wave.l == state.l + 1:
-        return channel("plus", state.l)
-    if wave.l == state.l - 1:
-        return channel("minus", state.l)
-    raise ChannelMismatch(f"wave l={wave.l} is not a dipole partner of l={state.l}")
-
-
-def _simpson_from_origin(integrand: np.ndarray, h: float) -> float:
-    """Simpson including the implicit (0, 0) sample before the first grid point."""
-    return float(simpson(np.concatenate([[0.0], integrand]), dx=h))
-
-
-def bound_free_z2(state: BoundState, wave: ContinuumWave) -> float:
-    """|<n,l| z |q, l+-1>|^2 with the angular weight, by grid quadrature."""
-    chan = _channel_for_wave(state, wave)
-    integrand = state.values(wave.grid) * wave.grid * wave.values
-    integral = _simpson_from_origin(integrand, wave.h)
-    return float(chan.weight) * integral**2

@@ -1,10 +1,10 @@
 """Composite Simpson rule for sampled data on one axis, with numpy alone.
 
 simpson is a port of the one-dimensional case of scipy.integrate.simpson
-(scipy 1.17).  It performs scipy's float operations in scipy's order, on the
-same kinds of numpy objects, so every result is bit-identical to scipy's;
-scipy itself is not imported, which keeps it out of the package's
-dependencies and out of the start-up time of every CLI call.
+with sample points x (scipy 1.17).  It performs scipy's float operations in
+scipy's order, on the same kinds of numpy objects, so every result is
+bit-identical to scipy's; scipy itself is not imported, which keeps it out of
+the package's dependencies and out of the start-up time of every CLI call.
 """
 
 from __future__ import annotations
@@ -12,13 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray | None, dx: float):
+def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray):
     """Simpson's rule over the panels [i, i + 2] for even i < stop."""
     y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
-    if x is None:
-        result = np.sum(y0 + 4.0 * y1 + y2)
-        result *= dx / 3.0
-        return result
     h = np.diff(x)
     h0 = h[0:stop:2].astype(float, copy=False)
     h1 = h[1:stop + 1:2].astype(float, copy=False)
@@ -33,8 +29,8 @@ def _basic_simpson(y: np.ndarray, stop: int, x: np.ndarray | None, dx: float):
     return np.sum(tmp)
 
 
-def simpson(y, x=None, *, dx: float = 1.0):
-    """int y over the samples: spacing from x when given, else the constant dx.
+def simpson(y, x):
+    """int y over the samples y taken at the points x.
 
     An even sample count takes Simpson's rule up to the third-last point and
     Cartwright's correction for the last interval.
@@ -42,18 +38,15 @@ def simpson(y, x=None, *, dx: float = 1.0):
     y = np.asarray(y)
     if y.ndim != 1 or len(y) < 3:
         raise ValueError("Simpson's rule needs a 1-D array of at least three samples")
-    if x is not None:
-        x = np.asarray(x)
-        if x.shape != y.shape:
-            raise ValueError("x must have the shape of y")
+    x = np.asarray(x)
+    if x.shape != y.shape:
+        raise ValueError("x must have the shape of y")
     n = len(y)
     if n % 2:
-        return _basic_simpson(y, n - 2, x, dx)
-    result = _basic_simpson(y, n - 3, x, dx)
-    h = np.asarray([dx, dx], dtype=np.float64)
-    if x is not None:
-        diffs = np.float64(np.diff(x))
-        h = [np.squeeze(diffs[-2:-1], axis=-1), np.squeeze(diffs[-1:], axis=-1)]
+        return _basic_simpson(y, n - 2, x)
+    result = _basic_simpson(y, n - 3, x)
+    diffs = np.float64(np.diff(x))
+    h = [np.squeeze(diffs[-2:-1], axis=-1), np.squeeze(diffs[-1:], axis=-1)]
     num = 2 * h[1] ** 2 + 3 * h[0] * h[1]
     den = 6 * (h[1] + h[0])
     alpha = np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)

@@ -50,6 +50,12 @@ class Potential:
             g = self.gamma
             if g is None or g == 0 or g <= -2:
                 raise ValueError("power-law exponent must satisfy g != 0, g > -2")
+            try:
+                g_float = float(g)
+            except OverflowError:
+                g_float = math.inf
+            if g_float == 0 or not math.isfinite(g_float):
+                raise ValueError("power-law exponent must round to a nonzero finite float")
 
     # -- numeric evaluation ------------------------------------------------
 

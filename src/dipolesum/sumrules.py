@@ -26,7 +26,6 @@ from .errors import (
     DivergentAtOrigin,
     DivergentExpectation,
     InvalidOrder,
-    NonPositiveScale,
     OutOfValidityRange,
 )
 from .hydrogen import BoundState, Channel, expectation_rho_power
@@ -164,16 +163,6 @@ def _power_moment(state: GridFunction, p: Fraction, p_float: float, name: str) -
     if not math.isfinite(expv):
         raise DivergentExpectation(f"{name} does not exist")
     return expv + state.c_origin() ** 2 * float(state.grid[0]) ** float(s) / float(s)
-
-
-def virial_s2(state: GridFunction, v0: Potential) -> float:
-    """S_2 through the virial route 4 kappa (2 gamma/(gamma+2)) eps_m."""
-    if v0.kind != "power":
-        raise InvalidOrder("virial S2 form applies to power-law potentials")
-    lam = state.l * (state.l + 1)
-    kappa = (2 * lam - 1) / (4 * lam - 3)
-    g = float(v0.gamma)
-    return 4.0 * kappa * (2.0 * g / (g + 2.0)) * state.energy
 
 
 def sum_rule_grid(state: GridFunction, v0: Potential, chan: Channel, J: int) -> float:
@@ -514,20 +503,3 @@ def einstein_rates(inputs: EinsteinInputs) -> EinsteinRates:
         a_q = (4.0 / 3.0) * alpha * wa0_c**2 * r2 * omega
         return EinsteinRates(a_coefficient=a_q, lifetime=1.0 / a_q, classical_ratio=math.nan)
     raise ValueError(f"unknown system {inputs.system!r}")
-
-
-def decay_width(m_v_ev: float, e_q: float, a_m: float, c0_sq: float,
-                inputs: EinsteinInputs | None = None) -> float:
-    """Leptonic decay width of a vector bound state,
-
-        Gamma = 4 (c hbar / a) (hbar alpha e_q / (M_V c a))^2 C_0^2,
-
-    with a in meters, M_V c^2 in eV, C_0^2 the squared origin slope of the
-    scaled reduced radial function.  Returns eV.
-    """
-    if m_v_ev <= 0 or a_m <= 0 or c0_sq < 0:
-        raise NonPositiveScale("mass, scale and C_0^2 must be positive")
-    alpha = (inputs.fine_structure if inputs else CONSTANTS.fine_structure)
-    hbar_c_ev_m = 197.3269804e-9  # eV * m
-    dimensionless = alpha * abs(e_q) * hbar_c_ev_m / (m_v_ev * a_m)
-    return 4.0 * (hbar_c_ev_m / a_m) * dimensionless**2 * c0_sq

@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -19,12 +20,12 @@ import dipolesum
 from dipolesum import cli, oracle
 from dipolesum.cli import CSV_COLUMNS, main
 from dipolesum.errors import (
-    GridTooShort,
     InvalidOrder,
     InvalidQuantumNumbers,
     InvalidTruncation,
     NoBoundState,
     NotConverged,
+    NumericalFailure,
     QuadratureNotConverged,
 )
 from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_float, bound_state, channel
@@ -76,6 +77,16 @@ class TestTable:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert header == CSV_COLUMNS
+
+    def test_csv_prints_the_closed_form_of_potential_rows(self, capsys):
+        # the value each row is gated against, as the text output prints it
+        _, text, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--orders", "0..2")
+        code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--orders", "0..2",
+                               "--format", "csv")
+        assert code == 0
+        closed = [float(row[CSV_COLUMNS.index("closed_form")])
+                  for row in csv.reader(out.splitlines()[1:])]
+        assert [f"closed={c:.6f}" for c in closed] == re.findall(r"closed=\S+", text)
 
     def test_divergent_rendered_not_errored(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--state", "1s", "--orders", "4..4")
@@ -223,7 +234,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [
         (QuadratureNotConverged("panel refinement is not contracting"), 1),
         (NotConverged("eigenvalue refinement did not converge"), 1),
-        (GridTooShort("normalization points disagree"), 1),
+        (NumericalFailure("grid does not reach the asymptotic region"), 1),
         (NoBoundState("requested state above the continuum threshold"), 1),
         (ValueError("grid overlap requires a shared grid"), 1),
         (RuntimeError("unexpected\nsecond line"), 1),
@@ -257,6 +268,8 @@ class TestExitCodes:
         [],
         ["table", "--state", "1s", "--bogus"],
         ["--config"],
+        ["table", "--potential", "gamma=1e400"],        # no finite float
+        ["potential", "--potential", "gamma=1e-400"],   # rounds to 0.0
     ])
     def test_argparse_errors_are_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -26,7 +26,9 @@ class TestMatchesScipy:
 
     @pytest.fixture(scope="class")
     def scipy_integrate(self):
-        return pytest.importorskip("scipy.integrate")
+        from scipy import integrate
+
+        return integrate
 
     @pytest.mark.parametrize("n", SIZES)
     def test_simpson_with_x(self, scipy_integrate, n):
@@ -36,11 +38,15 @@ class TestMatchesScipy:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_simpson_with_dx(self, scipy_integrate, n):
+        # a constant step dx, given as sample points: scipy's x route bit for
+        # bit, and its constant-step rule to rounding
         for seed in range(5):
             y, _ = _samples(n, seed)
             dx = 0.1 + 0.37 * seed
-            assert simpson(y, dx=dx) == scipy_integrate.simpson(y, dx=dx)
-        assert simpson(y) == scipy_integrate.simpson(y)
+            x = dx * np.arange(n)
+            assert simpson(y, x) == scipy_integrate.simpson(y, x=x)
+            scale = dx * np.abs(y).sum()
+            assert simpson(y, x) == pytest.approx(scipy_integrate.simpson(y, dx=dx), abs=1e-14 * scale)
 
     def test_strided_log_grid(self, scipy_integrate):
         # the half-grid check of the Dalgarno-Lewis route integrates every other
@@ -60,7 +66,7 @@ class TestRules:
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
-            simpson([1.0, 2.0])
+            simpson([1.0, 2.0], [0.0, 1.0])
 
     def test_rejects_mismatched_x(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from dipolesum.errors import (
     DivergentAtOrigin,
     DivergentExpectation,
     InvalidOrder,
-    NonPositiveScale,
     OutOfValidityRange,
 )
 from dipolesum.hydrogen import bound_state, channel
@@ -21,7 +20,6 @@ from dipolesum.sumrules import (
     closed_form_coulomb,
     closed_form_power_law,
     constructive_value,
-    decay_width,
     einstein_rates,
     equivalence_suite,
     kramers_general,
@@ -29,7 +27,6 @@ from dipolesum.sumrules import (
     polarizability_1s,
     sum_rule_constructive,
     sum_rule_grid,
-    virial_s2,
 )
 
 
@@ -113,7 +110,6 @@ class TestClosedForms:
     def test_power_law_oscillator(self, oscillator):
         v0 = power_law(2)
         assert closed_form_power_law(oscillator, v0, 2) == pytest.approx(2.0, abs=1e-7)
-        assert virial_s2(oscillator, v0) == pytest.approx(2.0, abs=1e-8)
         want_s4 = 16.0 / 3.0 * grid_expectation(oscillator, lambda r: r**2)
         assert closed_form_power_law(oscillator, v0, 4) == pytest.approx(want_s4, rel=1e-12)
 
@@ -289,22 +285,11 @@ class TestRates:
                                               fine_structure=1e-30))
         assert rates.a_coefficient < 1e-20
 
-    def test_decay_width_linear_in_density(self):
-        base = decay_width(3.1e9, F(2, 3), 1e-15, 0.8)
-        assert decay_width(3.1e9, F(2, 3), 1e-15, 1.6) == pytest.approx(2 * base, rel=1e-12)
-        assert decay_width(3.1e9, 0.0, 1e-15, 0.8) == 0.0
-
-    def test_decay_width_guard(self):
-        with pytest.raises(NonPositiveScale):
-            decay_width(-1.0, 1.0, 1e-15, 1.0)
-
     def test_density_from_force_rule(self, oscillator):
-        # C_0^2 from the force rule feeds the same width as the fitted value
+        # C_0^2 = 2 <v0'> from the force rule matches the fitted origin slope
         c0_force = 2.0 * grid_expectation(oscillator, lambda r: r)
         c0_fit = oscillator.c_origin() ** 2
-        w1 = decay_width(3.1e9, 1.0, 1e-15, c0_force)
-        w2 = decay_width(3.1e9, 1.0, 1e-15, c0_fit)
-        assert w1 == pytest.approx(w2, rel=1e-5)
+        assert c0_force == pytest.approx(c0_fit, rel=1e-5)
 
 
 class TestGridSums:
