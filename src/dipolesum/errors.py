@@ -44,6 +44,10 @@ class InvalidQuantumNumbers(DipoleSumError):
     """Quantum numbers outside 1 <= n, 0 <= l <= n-1, or a forbidden channel."""
 
 
+class PotentialOverflow(DipoleSumError):
+    """The potential exceeds the float range on the state's grid."""
+
+
 class NonPositiveQ(DipoleSumError):
     """Continuum wavenumber must be positive."""
 

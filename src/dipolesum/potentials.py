@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyfit
 
-from .errors import NoBoundState, NotConverged, QuadratureNotConverged, SingularDerivative
+from .errors import NoBoundState, NotConverged, PotentialOverflow, QuadratureNotConverged, SingularDerivative
 from .integrate import simpson
 
 
@@ -171,7 +171,13 @@ def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
         # classical turning point of a generous energy guess, plus tail room
         e_guess = 3.0 * (nodes + l + 2) ** (2 * g / (g + 2.0)) / g + 2.0
         rt = (g * e_guess) ** (1.0 / g)
-        return 3.0 * rt + 12.0
+        rho_max = 3.0 * rt + 12.0
+        # the shooter's log-grid equation holds 2 rho^2 v0 = 2 rho^(g+2) / g, a float only up to
+        # about 1.8e308: a larger exponent is no input this grid can take
+        if math.log(2.0) - math.log(g) + (g + 2.0) * math.log(rho_max) > math.log(np.finfo(float).max):
+            raise PotentialOverflow(f"the potential rho^g/g with g = {g:.6g} overflows a float on the "
+                                    f"grid out to rho = {rho_max:.4g}")
+        return rho_max
     # g < 0: v0 = -rho^-a / a with a = -g in (0, 2).  For a > 1 the levels
     # crowd towards 0 much faster than Coulomb's, so the extent follows the
     # tail: the turning point of a Bohr-like WKB energy (exact at a = 1) plus

@@ -28,7 +28,7 @@ from dipolesum.errors import (
     NumericalFailure,
     QuadratureNotConverged,
 )
-from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_float, bound_state, channel
+from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_floats, bound_state, channel
 from dipolesum.potentials import power_law, solve_bound
 
 
@@ -277,6 +277,20 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    # rho^g overflows a float on the state's grid: a usage error, and the
+    # "error" filter turns any numpy warning on the way into a failure
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["potential", "--potential", "gamma=1e300"],
+        ["potential", "--potential", "gamma=700"],
+        ["table", "--potential", "gamma=300", "--orders", "0..1"],
+    ])
+    def test_overflowing_exponent_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
     @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
     def test_help_prints_usage_and_exits_0(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -411,7 +425,7 @@ class TestCoulombFuzz:
         # exact element, which the float finish matches
         assert code == (2 if lp < 0 or to_n < lp + 1 else 0)
         if code == 0:
-            want = bound_bound_z2_float(bound_state(n, l), to_n, channel(direction, l))
+            want, = bound_bound_z2_floats(bound_state(n, l), channel(direction, l), to_n, to_n)
             assert json.loads(out)["z2_float"] == pytest.approx(want, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)

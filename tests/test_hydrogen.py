@@ -12,17 +12,18 @@ from dipolesum import exactalg as xa
 from dipolesum.errors import DivergentAtOrigin, InvalidQuantumNumbers, NonPositiveQ
 from dipolesum.hydrogen import (
     _z2_factors,
+    _z2_polynomials,
     bound_bound_z2,
-    bound_bound_z2_float,
+    bound_bound_z2_floats,
     bound_bound_z2_overlap,
     bound_free_z2_closed,
     bound_state,
     channel,
     continuum_z2_1s,
     expectation_rho_power,
-    reference_expectation,
     z2_1s_to_np,
 )
+from dipolesum.oracle import _Channel
 from dipolesum.potentials import COULOMB
 
 
@@ -99,29 +100,44 @@ class TestBoundBound:
 KERNEL_CHANNELS = [(n, l, d) for n in range(1, 6) for l in range(n)
                    for d in ("plus", "minus") if l > 0 or d == "plus"]
 
-# sha256 of bound_bound_z2_float over to_n = l'+1..2000 for 1s+, 2s+, 2p+ and
+# sha256 of bound_bound_z2_floats over to_n = l'+1..2000 for 1s+, 2s+, 2p+ and
 # 2p- (the paper-tables sums), packed as little-endian doubles.  Recorded from
 # a kernel that summed Fraction terms and rounded float(Fraction) once, on
 # glibc's exp and log1p
 FLOAT_TABLES_SHA256 = "db68ae70dc1d6fe5704723e505d5b6cba55122a091196b1dccfd52122b381d62"
 
 
+def _factors_float(st, to_n, ch):
+    """The float finish of _z2_factors, one level at a time."""
+    num, den, power = _z2_factors(st, to_n, ch)
+    if power == 0:
+        return num / den
+    return num / den * math.exp(power * math.log1p(-2 * min(to_n, st.n) / (to_n + st.n)))
+
+
+def _poly_value(coeffs, n):
+    """An integer polynomial, highest power first, summed term by term."""
+    return sum(a * n**k for k, a in enumerate(reversed(coeffs)))
+
+
 class TestFactoredKernel:
     @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
     def test_float_finish_matches_exact(self, n, l, direction):
         st, ch = bound_state(n, l), channel(direction, l)
-        targets = list(range(ch.target_l + 1, 51)) + list(range(97, 2001, 97))
+        lo = ch.target_l + 1
+        table = bound_bound_z2_floats(st, ch, lo, 2000)
+        targets = list(range(lo, 51)) + list(range(97, 2001, 97))
         for to_n in targets:
             want = float(bound_bound_z2(st, to_n, ch))
-            got = bound_bound_z2_float(st, to_n, ch)
+            got = table[to_n - lo]
             assert abs(got - want) <= 1e-13 * abs(want), (to_n, got, want)
 
     def test_float_tables_bit_identical(self):
         digest = hashlib.sha256()
         for n, l, direction in [(1, 0, "plus"), (2, 0, "plus"), (2, 1, "plus"), (2, 1, "minus")]:
             st, ch = bound_state(n, l), channel(direction, l)
-            for to_n in range(ch.target_l + 1, 2001):
-                digest.update(struct.pack("<d", bound_bound_z2_float(st, to_n, ch)))
+            for z2 in bound_bound_z2_floats(st, ch, ch.target_l + 1, 2000):
+                digest.update(struct.pack("<d", z2))
         assert digest.hexdigest() == FLOAT_TABLES_SHA256
 
     # the channels whose target shell includes the level n itself
@@ -133,7 +149,40 @@ class TestFactoredKernel:
         assert power == 0
         exact = bound_bound_z2(st, n, ch)
         assert exact == F(num, den) == bound_bound_z2_overlap(st, n, ch)
-        assert bound_bound_z2_float(st, n, ch) == float(exact)
+        assert bound_bound_z2_floats(st, ch, n, n) == [float(exact)]
+
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_polynomials_are_exact(self, n, l, direction):
+        # num(to_n) = P T^2 and den(to_n) = c (to_n + n)^e from the integer
+        # polynomials, finished exactly, give the exact element
+        st, ch = bound_state(n, l), channel(direction, l)
+        p, t, c, e = _z2_polynomials(st, ch)
+        assert all(type(a) is int for a in p + t + [c, e])
+        for to_n in (n + 2, n + 3, 97, 2000):
+            num, den = _poly_value(p, to_n) * _poly_value(t, to_n) ** 2, c * (to_n + n) ** e
+            got = F(num, den) * F(to_n - n, to_n + n) ** (2 * (to_n - n - 2))
+            assert got == bound_bound_z2(st, to_n, ch), to_n
+
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_table_equals_per_level_finish(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        lo = ch.target_l + 1
+        want = [_factors_float(st, to_n, ch) for to_n in range(lo, 2001)]
+        assert bound_bound_z2_floats(st, ch, lo, 2000) == want
+
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_grown_table_equals_one_step(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        grown = _Channel(st, ch)
+        for n_max in (10, 50, 2000):
+            table = grown.z2_table(n_max)
+        assert table == _Channel(st, ch).z2_table(2000)
+
+    def test_range_needs_a_target_level(self):
+        with pytest.raises(InvalidQuantumNumbers):
+            bound_bound_z2_floats(bound_state(2, 1), channel("plus", 1), 2, 10)
+        with pytest.raises(InvalidQuantumNumbers):
+            bound_bound_z2_floats(bound_state(2, 1), channel("plus", 0), 20, 30)
 
     def test_giant_power_factored_out(self):
         # all digits that grow with to_n sit in ratio**power; the power is
@@ -213,6 +262,25 @@ class TestBoundFreeClosedForm:
             bound_free_z2_closed(bound_state(2, 1), channel("plus", 0), 1.0)
 
 
+def _reference_expectation(m, l, p):
+    """Known closed forms for Coulomb <rho^p>, p in {2,1,-1,-2,-3,-4}."""
+    lam = l * (l + 1)
+    if p == 2:
+        return F(m**4, 2) * (5 + F(1 - 3 * lam, m * m))
+    if p == 1:
+        return F(m * m, 2) * (3 - F(lam, m * m))
+    if p == -1:
+        return F(1, m * m)
+    if p == -2:
+        return F(2, m**3 * (2 * l + 1))
+    if p == -3:
+        return F(2, m**3 * lam * (2 * l + 1))
+    if p == -4:
+        return (F(1, m**3) * (3 - F(lam, m * m))
+                * F(4, lam * (2 * l + 3) * (2 * l + 1) * (2 * l - 1)))
+    raise ValueError("no closed form tabulated for this power")
+
+
 class TestExpectations:
     def test_listed_values(self):
         assert expectation_rho_power(bound_state(2, 1), -3) == F(1, 24)
@@ -224,10 +292,10 @@ class TestExpectations:
             for l in range(n):
                 st = bound_state(n, l)
                 for p in (2, 1, -1, -2):
-                    assert expectation_rho_power(st, p) == reference_expectation(n, l, p)
+                    assert expectation_rho_power(st, p) == _reference_expectation(n, l, p)
                 if l >= 1:
                     for p in (-3, -4):
-                        assert expectation_rho_power(st, p) == reference_expectation(n, l, p)
+                        assert expectation_rho_power(st, p) == _reference_expectation(n, l, p)
 
     def test_divergent(self):
         with pytest.raises(DivergentAtOrigin):

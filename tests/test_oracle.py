@@ -7,7 +7,7 @@ import pytest
 
 from dipolesum import oracle
 from dipolesum.errors import DivergentSumRule, InvalidOrder, InvalidQuantumNumbers, InvalidTruncation
-from dipolesum.hydrogen import bound_bound_z2_float, bound_state, channel, z2_1s_to_np
+from dipolesum.hydrogen import bound_bound_z2_floats, bound_state, channel, z2_1s_to_np
 from dipolesum.oracle import (
     compare,
     continuum_integral_with_error,
@@ -182,8 +182,10 @@ class TestSharedChannel:
         for J in (-2, 0, 3):
             discrete_sum(st, ch, J, n_max=2000)
             # the degenerate level enters with weight 0**0 = 1 at J = 0 only
-            want = math.fsum((1.0 / n**2 - 1.0 / m**2) ** J * bound_bound_z2_float(st, m, ch)
-                             for m in range(ch.target_l + 1, 11) if m != n or J == 0)
+            lo = ch.target_l + 1
+            want = math.fsum((1.0 / n**2 - 1.0 / m**2) ** J * z2
+                             for m, z2 in enumerate(bound_bound_z2_floats(st, ch, lo, 10), start=lo)
+                             if m != n or J == 0)
             assert discrete_sum(st, ch, J, n_max=10) == want
 
 
