@@ -48,6 +48,10 @@ class PotentialOverflow(DipoleSumError):
     """The potential exceeds the float range on the state's grid."""
 
 
+class PotentialUnresolved(DipoleSumError):
+    """The potential's levels are not resolved in float arithmetic on the state's grid."""
+
+
 class NonPositiveQ(DipoleSumError):
     """Continuum wavenumber must be positive."""
 

@@ -10,6 +10,14 @@ and each element stays within a few ulp of the rounded exact value,
 float(bound_bound_z2).  A table grows a range of levels at a time: from
 n = m + 2 on, two integer polynomials in n, built once per range, give the
 per-level kernel's integers, so its floats, at a quarter to a ninth of the cost.
+The table is one float64 array, and a sum weights all its levels at once with
+np.float_power(1/m^2 - 1/n^2, J), then one math.fsum.  np.float_power calls
+libm pow per element, as Python's float ** int does, so every term is the one
+a per-level loop gives; ** and np.power may take a SIMD pow instead, which
+with numpy 2.4 on AVX-512 differed in the last ulp on 38 090 of 1 048 635
+weights (n <= 5, J = -13..7, n <= 2000).  The per-level loop took 13-21 ms of
+the 46-71 ms that verify --suite paper-tables spends in-process; the array
+form takes about 2 ms (six fresh runs each, shared 2-vCPU machine).
 
 Continuum parts integrate |<m,l|z|q,l'>|^2 against (k_m^2 + q^2)^J with the
 substitution q = k_m tan(u) on composite Gauss-Legendre panels over the
@@ -20,7 +28,8 @@ order J.  z2 falls like q^-(8+2l), so the u-integrand stays bounded up to
 u = pi/2 for every convergent order J <= 3 + l, and the panel-doubling
 difference is the error estimate.
 
-compare(state, direction, J, n_max) assembles one row from both parts.  Each
+compare(state, direction, J, n_max) assembles one row from both parts; a
+divergent continuum raises before any discrete work.  Each
 (state, channel) has one cached _Channel that owns its discrete table, grown
 in place when a larger n_max is asked for, and its continuum node sets; the
 contour check's continuum reference reads the same object.
@@ -66,10 +75,18 @@ def max_convergent_order(state: BoundState) -> int:
     return 3 + state.l
 
 
+@functools.cache
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1].  Read-only: callers share them."""
+    t, w = leggauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _gauss_panels(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Gauss-Legendre on n_panels equal panels
     of [lo, hi]; an integral is math.fsum(weights * f(nodes))."""
-    t, w = leggauss(order)
+    t, w = _legendre_rule(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
@@ -79,8 +96,9 @@ def _gauss_panels(lo: float, hi: float, n_panels: int, order: int) -> tuple[np.n
 class _Channel:
     """Discrete table and continuum node sets of one (state, channel).
 
-    The table holds |<state|z|n, l'>|^2 for n = 0..n_max (unused slots 0) and
-    grows in place.  The J-independent part of the continuum u-integrand,
+    The table is one float64 array of |<state|z|n, l'>|^2 for n = 0..n_max
+    (unused slots 0), extended when a larger n_max is asked for.  The
+    J-independent part of the continuum u-integrand,
     w z2(q) k_m sec^2(u) with q = k_m tan(u), is kept per node set (upper
     limit in u, panel count, Gauss order), so every order J reuses the same
     nodes and closed-form elements.
@@ -90,12 +108,13 @@ class _Channel:
         self.state = state
         self.chan = chan
         self.k_m = 1.0 / state.n
-        self._z2 = [0.0] * (chan.target_l + 1)
+        self._z2 = np.zeros(chan.target_l + 1)
         self._nodes: dict[tuple[float, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def z2_table(self, n_max: int) -> list[float]:
+    def z2_table(self, n_max: int) -> np.ndarray:
         if n_max >= len(self._z2):
-            self._z2 += bound_bound_z2_floats(self.state, self.chan, len(self._z2), n_max)
+            more = bound_bound_z2_floats(self.state, self.chan, len(self._z2), n_max)
+            self._z2 = np.concatenate((self._z2, more))
         return self._z2
 
     def integral(self, J: int, n_panels: int, order: int, u_hi: float = 0.5 * math.pi) -> float:
@@ -122,32 +141,30 @@ def _cached_channel(n: int, l: int, direction: str) -> _Channel:
 # ---------------------------------------------------------------------------
 
 
-def _discrete_terms(state: BoundState, chan: Channel, J: int, n_max: int) -> list[float]:
+def _weights(state: BoundState, J: int, n: np.ndarray | int) -> np.ndarray:
+    """(1/m^2 - 1/n^2)^J through libm pow, as Python's float ** int does."""
+    return np.float_power(1.0 / state.n**2 - 1.0 / (n * n), J)
+
+
+def _discrete_terms(state: BoundState, chan: Channel, J: int, n_max: int) -> np.ndarray:
     """Weighted terms; degenerate level included only at J = 0 (weight 1)."""
     table = _cached_channel(state.n, state.l, chan.direction).z2_table(n_max)
-    ksq = 1.0 / state.n**2
-    terms = []
-    for n in range(chan.target_l + 1, n_max + 1):
-        if n == state.n:
-            if J == 0:
-                terms.append(table[n])
-            continue
-        w = (ksq - 1.0 / n**2) ** J
-        terms.append(w * table[n])
-    return terms
+    lo = chan.target_l + 1
+    n, z2 = np.arange(lo, n_max + 1), table[lo:n_max + 1]
+    if J and lo <= state.n <= n_max:
+        n, z2 = np.delete(n, state.n - lo), np.delete(z2, state.n - lo)
+    return _weights(state, J, n) * z2
 
 
 def discrete_sum(state: BoundState, chan: Channel, J: int, n_max: int = N_MAX) -> float:
     """Partial discrete sum over n <= n_max (deterministic fsum reduction)."""
-    return math.fsum(_discrete_terms(state, chan, J, n_max))
+    return math.fsum(_discrete_terms(state, chan, J, n_max).tolist())
 
 
 def _discrete_tail_estimate(state: BoundState, chan: Channel, J: int, n_max: int) -> float:
     """Richardson-style n^-3 estimate of the truncated tail."""
     table = _cached_channel(state.n, state.l, chan.direction).z2_table(n_max)
-    ksq = 1.0 / state.n**2
-    t_last = abs((ksq - 1.0 / n_max**2) ** J * table[n_max])
-    return t_last * n_max / 2.0
+    return float(abs(_weights(state, J, n_max) * table[n_max]) * n_max / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +218,8 @@ def compare(state: BoundState, direction: str, J: int, n_max: int = N_MAX) -> Su
         directions = (direction,)
     discs, conts, errs = [], [], []
     for chan in [channel(d, state.l) for d in directions]:
+        cont, quad_err = continuum_integral_with_error(state, chan, J)   # raises before a divergent sum
         discs.append(discrete_sum(state, chan, J, n_max))
-        cont, quad_err = continuum_integral_with_error(state, chan, J)
         conts.append(cont)
         errs.append(quad_err + _discrete_tail_estimate(state, chan, J, n_max))
     closed = None

@@ -32,7 +32,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyfit
 
-from .errors import NoBoundState, NotConverged, PotentialOverflow, QuadratureNotConverged, SingularDerivative
+from .errors import (NoBoundState, NotConverged, PotentialOverflow, PotentialUnresolved, QuadratureNotConverged,
+                     SingularDerivative)
 from .integrate import simpson
 
 
@@ -160,24 +161,42 @@ def _log_grid_w(rho2: np.ndarray, veff: np.ndarray, energy: float) -> np.ndarray
     return rho2 * (veff - 2.0 * energy) + 0.25
 
 
+# Below this exponent the power law is a shifted log potential on the grid's extent
+LOG_LIKE_GAMMA = 0.125
+# A steep power law's grid ends where v0 is this multiple of the energy guess
+CONFINE_RATIO = 1e6
+
+
 def _default_rho_max(v0: Potential, l: int, nodes: int) -> float:
     n_eff = nodes + l + 1
     if v0.kind == "coulomb":
         return 2.0 * n_eff**2 + 35.0 * n_eff
     if v0.kind == "log":
-        return 25.0 + 15.0 * (nodes + l + 1)
+        return 25.0 + 15.0 * n_eff
     g = float(v0.gamma)
+    if 0 < g < LOG_LIKE_GAMMA:
+        # v0 = 1/g + ln rho + O(g ln^2 rho): the levels are the log potential's plus 1/g and
+        # lie inside its extent, while the guess below (about 3/g) has a turning point
+        # near 3^(1/g), past the float range from g of about 0.0016.  The shooter works to
+        # SHOOT_REL_TOL relative, so on top of 1/g it resolves a level only for g well above it
+        if SHOOT_REL_TOL / g > 1e-3:
+            raise PotentialUnresolved(f"the potential rho^g/g with g = {g:.6g} is 1/g + ln rho to within "
+                                      f"the solver's tolerance: its levels are not resolved from 1/g")
+        return 25.0 + 15.0 * n_eff
     if g > 0:
         # classical turning point of a generous energy guess, plus tail room
         e_guess = 3.0 * (nodes + l + 2) ** (2 * g / (g + 2.0)) / g + 2.0
         rt = (g * e_guess) ** (1.0 / g)
         rho_max = 3.0 * rt + 12.0
         # the shooter's log-grid equation holds 2 rho^2 v0 = 2 rho^(g+2) / g, a float only up to
-        # about 1.8e308: a larger exponent is no input this grid can take
+        # about 1.8e308: an exponent past that on this extent (g above about 261) is no input taken
         if math.log(2.0) - math.log(g) + (g + 2.0) * math.log(rho_max) > math.log(np.finfo(float).max):
             raise PotentialOverflow(f"the potential rho^g/g with g = {g:.6g} overflows a float on the "
                                     f"grid out to rho = {rho_max:.4g}")
-        return rho_max
+        # for steep exponents that extent holds v0 up to 15^g / g, which drowns the low mesh
+        # levels in round-off: end the grid where v0 is CONFINE_RATIO times the guess
+        # (binding from g of about 6 to 7, by level; g <= 4 keeps 3 rt + 12)
+        return min(rho_max, rt * CONFINE_RATIO ** (1.0 / g))
     # g < 0: v0 = -rho^-a / a with a = -g in (0, 2).  For a > 1 the levels
     # crowd towards 0 much faster than Coulomb's, so the extent follows the
     # tail: the turning point of a Bohr-like WKB energy (exact at a = 1) plus

@@ -29,7 +29,7 @@ from dipolesum.errors import (
     QuadratureNotConverged,
 )
 from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_floats, bound_state, channel
-from dipolesum.potentials import power_law, solve_bound
+from dipolesum.potentials import MESH_SIZES, mesh_spectrum, power_law, solve_bound
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +291,23 @@ class TestExitCodes:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    # rho^g/g = 1/g + ln rho + O(g ln^2 rho): a small exponent solves on the log
+    # potential's extent (the guess's turning point, about 3^(1/g), overflowed a
+    # float), and one too small for the solver to resolve its levels from 1/g is
+    # a usage error
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma,code", [("0.001", 0), ("1e-10", 2), ("1e-300", 2)])
+    def test_small_exponent(self, capsys, gamma, code):
+        got, out, err = run_cli(capsys, "potential", "--potential", f"gamma={gamma}", "--format", "json")
+        assert got == code
+        if code == 0:
+            assert err == ""
+            # the log potential's ground level is 0.69776
+            assert json.loads(out)["energy"] - 1000.0 == pytest.approx(0.6978, abs=1e-3)
+        else:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ") and "resolved" in err, err
+
     @pytest.mark.parametrize("argv", [["--help"], ["table", "--help"]])
     def test_help_prints_usage_and_exits_0(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -364,6 +381,23 @@ class TestPotentialCommand:
         code, out, _ = run_cli(capsys, "potential", "--potential", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["nodes"] == int(argv[-1])
+
+    def test_steep_confining_exponents(self, capsys):
+        # on the uncapped extent (about 15) the mesh diagonal reached 15^g / g and
+        # the low mesh levels were lost: gamma=20 found no classical region and
+        # gamma=40 reported 4.49e16
+        energies = []
+        for g in (20, 30, 40):
+            code, out, _ = run_cli(capsys, "potential", "--potential", f"gamma={g}", "--format", "json")
+            assert code == 0, g
+            st = solve_bound(power_law(g), 0, 0)
+            energy = json.loads(out)["energy"]
+            assert energy == st.energy
+            mesh = mesh_spectrum(power_law(g), 0, MESH_SIZES[-1], st.grid[-1])[0][0]
+            assert energy == pytest.approx(mesh, rel=1e-8, abs=0), g
+            energies.append(energy)
+        # rho^g/g tends to a hard wall at rho = 1, whose ground level is pi^2/2
+        assert energies[0] < energies[1] < energies[2] < math.pi**2 / 2
 
     def test_steep_negative_power_excited_level(self, capsys):
         code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=-3/2", "--nodes", "1",

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dipolesum import oracle
@@ -47,6 +48,33 @@ class TestDiscreteSum:
                     for n in (10, 50, 200, 1000, 2000)]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert vals[-1] < float(F(1) if J == 0 else (F(9, 8) if J == -1 else F(43, 32)))
+
+
+# every channel of every state with n <= 5, as in test_hydrogen's kernel tests
+KERNEL_CHANNELS = [(n, l, d) for n in range(1, 6) for l in range(n)
+                   for d in ("plus", "minus") if l > 0 or d == "plus"]
+
+
+class TestArrayTerms:
+    """The discrete terms are one numpy expression over the table; each must
+    equal Python's per-level float ** int weight times the table float, bit
+    for bit (a SIMD pow that differs in the last ulp fails here)."""
+
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_terms_equal_per_level_python(self, n, l, direction):
+        st, ch = bound_state(n, l), channel(direction, l)
+        lo = ch.target_l + 1
+        z2 = [0.0] * lo + bound_bound_z2_floats(st, ch, lo, 2000)
+        for n_max in (n + 1, 10, 2000):
+            for J in range(-13, 4 + l):
+                # the degenerate level enters with weight 1 at J = 0 only
+                want = [(1.0 / n**2 - 1.0 / m**2) ** J * z2[m] for m in range(lo, n_max + 1)
+                        if m != n or J == 0]
+                got = oracle._discrete_terms(st, ch, J, n_max)
+                assert got.dtype == np.float64 and got.tolist() == want, (J, n_max)
+                assert discrete_sum(st, ch, J, n_max) == math.fsum(want), (J, n_max)
+                tail = abs((1.0 / n**2 - 1.0 / n_max**2) ** J * z2[n_max]) * n_max / 2.0
+                assert oracle._discrete_tail_estimate(st, ch, J, n_max) == tail, (J, n_max)
 
 
 class TestContinuumIntegral:
@@ -103,6 +131,22 @@ class TestCompare:
         monkeypatch.setattr(oracle, "closed_form_coulomb", broken)
         with pytest.raises(RuntimeError, match="not an order error"):
             compare(bound_state(1, 0), "plus", 2)
+
+    @pytest.mark.parametrize("n,l", [(1, 0), (2, 1), (3, 2)])
+    def test_divergent_order_skips_the_discrete_sum(self, n, l, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "discrete_sum", lambda *args: calls.append(args))
+        for direction in ("plus", "minus", "total") if l else ("plus", "total"):
+            with pytest.raises(DivergentSumRule):
+                compare(bound_state(n, l), direction, 4 + l)
+        assert calls == []
+
+    def test_legendre_rule_shared_read_only(self):
+        t, w = oracle._legendre_rule(oracle.GAUSS_ORDER)
+        assert oracle._legendre_rule(oracle.GAUSS_ORDER)[0] is t
+        assert np.array_equal(t, np.polynomial.legendre.leggauss(oracle.GAUSS_ORDER)[0])
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_estimated_error_bounds_truth(self):
         # the error estimate should cover the actual deviation from exact
