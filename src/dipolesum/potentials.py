@@ -351,12 +351,18 @@ def _numerov_rows(f: np.ndarray, g: np.ndarray, steps: int):
     return chain.from_iterable(map(batch, range(0, steps, _BATCH)))
 
 
-def _match_defect(rho2, veff, energy, hx, w0):
+def _match_defect(rho2, veff, energy, hx, w0, memo=None):
     """Log-derivative mismatch at the outermost turning point.
 
     Returns (defect, assembled w, node count).  The outward and inward Numerov
     loops run on Python floats read through tolist(), with 12 - 10 f computed
     beforehand; nodes are counted on the stored w after each pass.
+
+    memo, a dict owned by the caller for one grid (rho2, veff, hx, w0), carries the
+    previous shot's f and outward buffer.  Outward w[i] depends only on w0 and
+    f[:i + 1], so where f[:k] equals the previous f[:k] (near the origin an energy
+    step rounds away in f = 1 - hx^2 W / 12), w[:k] is the previous w[:k] bit for
+    bit: the shot keeps that prefix and resumes the loop at step k - 2.
     """
     big_w = _log_grid_w(rho2, veff, energy)
     f = 1.0 - (hx * hx / 12.0) * big_w
@@ -367,16 +373,27 @@ def _match_defect(rho2, veff, energy, hx, w0):
     m = int(sign_change[-1]) + 1
     if m < 4 or m > n - 4:
         raise NoBoundState("turning point too close to the grid edge")
-    g = 12.0 - 10.0 * f
 
     # w is appended to float arrays: lists of Python floats would add peak memory
-    wout = array("d", (w0, 1.0))
+    if memo:   # emptied here, so a shot that raises below leaves no stale prefix
+        prev = memo.pop("w")
+        stop = min(len(prev), m + 2)
+        differ = f[:stop] != memo.pop("f")[:stop]
+        k = max(int(differ.argmax()) if differ.any() else stop, 2)
+        # a copy: cutting the old buffer in place left perfbench's peak RSS 0.3 MB higher
+        wout = prev[:k]
+        del prev
+    else:
+        wout, k = array("d", (w0, 1.0)), 2
+    g = 12.0 - 10.0 * f
     put = wout.append
-    wp, wc = w0, 1.0
-    for fp, gc, fn in _numerov_rows(f, g, m):
+    wp, wc = wout[k - 2], wout[k - 1]
+    for fp, gc, fn in _numerov_rows(f[k - 2:], g[k - 2:], m + 2 - k):
         wn = (gc * wc - fp * wp) / fn
         put(wn)
         wp, wc = wc, wn
+    if memo is not None:
+        memo["f"], memo["w"] = f, wout
     nodes = _sign_changes(wout, 2, m + 2)
 
     # inward from the last point: win[k] = w[n-1-k], for k up to n - m
@@ -407,6 +424,16 @@ def _match_defect(rho2, veff, energy, hx, w0):
     defect = (dout - din) / max(abs(wout[m]), 1e-300)
     w = np.concatenate([np.frombuffer(wout)[: m + 1], np.frombuffer(win)[-3::-1] * scale])
     return defect, w, nodes
+
+
+def _require_turning_point(rho2, veff, energy, size):
+    """Raise NotConverged when W keeps one sign on the grid at this energy from the
+    size-point mesh, where a shot would find no classical region: a drowned mesh level
+    of a steep wall (g from about 160, on a retry), or the window end below the ground
+    level of g from about 60, which lies under the potential everywhere."""
+    if not np.diff(np.signbit(_log_grid_w(rho2, veff, energy))).any():
+        raise NotConverged(f"the {size}-point mesh does not resolve this level: energy "
+                           f"{energy:.6g} has no classical turning point on the grid")
 
 
 # Points of the shooter's first log grid (each retry has 1.3 times more) and the
@@ -449,6 +476,7 @@ def solve_bound(
                 _log_grid_w(rho2, veff, e[nodes]))
             rho_max = float(rho[np.argmax(reach > 0.5) - 1])
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
+        memo = {}   # the shots on this grid share their outward prefix (_match_defect)
 
         # the defect has the sign of the Wronskian of the outward and inward
         # solutions (the inward one does not vanish in the forbidden region), so it
@@ -457,18 +485,20 @@ def solve_bound(
         # levels (or to the continuum threshold), and refine it inside the bracket
         if not v0.confining() and e[nodes] >= 0.0:
             raise NoBoundState("requested state above the continuum threshold")
+        _require_turning_point(rho2, veff, e[nodes], size)
         e_up = e[nodes + 1] if v0.confining() else min(e[nodes + 1], 0.0)
         e_lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
         e_hi = 0.5 * (e[nodes] + e_up)
         step = 1e-6 * max(abs(e[nodes]), 1e-3)
         a, b = max(e[nodes] - step, e_lo), min(e[nodes] + step, e_hi)
-        fa = _match_defect(rho2, veff, a, hx, w0)[0]
-        fb = _match_defect(rho2, veff, b, hx, w0)[0]
+        fa = _match_defect(rho2, veff, a, hx, w0, memo)[0]
+        fb = _match_defect(rho2, veff, b, hx, w0, memo)[0]
         if fa * fb > 0.0:   # widen below the mesh level first, then above it
-            f_lo = _match_defect(rho2, veff, e_lo, hx, w0)[0]
+            _require_turning_point(rho2, veff, e_lo, size)
+            f_lo = _match_defect(rho2, veff, e_lo, hx, w0, memo)[0]
             if fa * f_lo <= 0.0:
                 a, fa, b, fb = e_lo, f_lo, a, fa
-            elif fb * (f_hi := _match_defect(rho2, veff, e_hi, hx, w0)[0]) <= 0.0:
+            elif fb * (f_hi := _match_defect(rho2, veff, e_hi, hx, w0, memo)[0]) <= 0.0:
                 a, fa, b, fb = b, fb, e_hi, f_hi
             else:
                 raise NotConverged("no level within halfway to the neighbouring mesh levels")
@@ -479,7 +509,7 @@ def solve_bound(
         for _ in range(80):
             tol = SHOOT_REL_TOL * max(abs(a), abs(b), 1e-3 * abs(e[nodes]))
             energy = min(max((a * fb - b * fa) / (fb - fa), a + tol), b - tol)
-            fc, w, nd = _match_defect(rho2, veff, energy, hx, w0)
+            fc, w, nd = _match_defect(rho2, veff, energy, hx, w0, memo)
             if fc * fb > 0.0:   # the level is below: move b, halve fa if a is stuck
                 b, fb, fa, side = energy, fc, fa * (0.5 if side < 0 else 1.0), -1
             else:

@@ -162,7 +162,8 @@ class TestSolveBound:
 
     @pytest.mark.parametrize("scale, nodes, match", [
         (2.0, 1, "converged to 2 nodes instead of 1"),   # the bracket holds the 2-node level
-        (0.25, 4, "no level within")])                   # the bracket holds no level
+        (0.25, 4, "no level within"),                    # the bracket holds no level
+        (-1.0, 0, "mesh does not resolve this level")])  # the level lies below the potential
     def test_misplaced_mesh_start_raises(self, monkeypatch, scale, nodes, match):
         # with the oscillator's mesh spectrum scaled away from the true levels
         # the solver raises instead of returning a bracket end or a wrong level
@@ -245,6 +246,14 @@ def _reference_mesh_hamiltonian(v0, l, n, r_max):
     return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
 
 
+# (potential, l, nodes of the grid, whether the inward pass rescales in the sweep)
+_SWEEP_CASES = [
+    (COULOMB, 0, 7, False), (COULOMB, 2, 7, False), (power_law(2), 0, 7, False),
+    (power_law(1), 0, 7, False), (power_law(F(1, 2)), 0, 7, True),
+    (power_law(-1), 0, 7, False), (power_law(F(-3, 2)), 0, 7, True), (LOG, 0, 7, False),
+    (power_law(F(1, 2)), 0, 3, False)]
+
+
 class TestKernelsMatchReference:
     """The solver's matching loop and mesh match their plain references bit for bit."""
 
@@ -260,11 +269,7 @@ class TestKernelsMatchReference:
         args = (rho2, veff, x[1] - x[0], math.exp((l + 0.5) * (x[0] - x[1])))
         return args, sorted([*e, *(0.5 * (e[1:] + e[:-1]))])
 
-    @pytest.mark.parametrize("v0, l, nodes, rescales", [
-        (COULOMB, 0, 7, False), (COULOMB, 2, 7, False), (power_law(2), 0, 7, False),
-        (power_law(1), 0, 7, False), (power_law(F(1, 2)), 0, 7, True),
-        (power_law(-1), 0, 7, False), (power_law(F(-3, 2)), 0, 7, True), (LOG, 0, 7, False),
-        (power_law(F(1, 2)), 0, 3, False)])
+    @pytest.mark.parametrize("v0, l, nodes, rescales", _SWEEP_CASES)
     def test_match_defect(self, v0, l, nodes, rescales):
         # on the wide 7-node grids of gamma = 1/2 and -3/2 the inward pass rescales at
         # the lowest levels, whose early values then underflow: the nodes must be
@@ -283,6 +288,77 @@ class TestKernelsMatchReference:
             assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
             rescaled.append(want[3])
         assert len(rescaled) >= 8 and any(rescaled) == rescales
+
+    @pytest.mark.parametrize("v0, l, nodes, rescales", _SWEEP_CASES)
+    def test_match_defect_with_memo(self, v0, l, nodes, rescales):
+        # one memo carried through each order of the same energies: every shot that
+        # reuses the previous outward prefix still matches the plain loop bit for bit
+        (rho2, veff, hx, w0), energies = self._sweep(v0, l, nodes)
+        energies = [float(e) for e in energies]
+        turning = [np.nonzero(np.diff(np.signbit(potentials._log_grid_w(rho2, veff, e))))[0][-1]
+                   for e in energies]
+        assert turning == sorted(turning) and turning[0] < turning[-1]
+        # up to the top level, then an energy below the potential everywhere, then down
+        up_down = [*energies[::2], -1e6, *energies[-2::-3]]
+        shuffled = [energies[i] for i in np.random.default_rng(19).permutation(len(energies))]
+        wanted = {}
+        for energy in up_down + energies:
+            try:
+                wanted[energy] = _reference_match_defect(rho2, veff, energy, hx, w0)
+            except NoBoundState:
+                wanted[energy] = None
+        for order in (energies, energies[::-1], shuffled, up_down):
+            memo = {}
+            for energy in order:
+                if (want := wanted[energy]) is None:
+                    with pytest.raises(NoBoundState):
+                        potentials._match_defect(rho2, veff, energy, hx, w0, memo)
+                    continue
+                defect, w, nd = potentials._match_defect(rho2, veff, energy, hx, w0, memo)
+                assert defect == want[0] and nd == want[2], energy
+                assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
+        assert any(want and want[3] for want in wanted.values()) == rescales
+
+    @pytest.mark.parametrize("v0", [power_law(2), LOG])
+    def test_outward_prefix_reused(self, monkeypatch, v0):
+        # each shot steps n - 1 rows without reuse; sharing the outward prefix
+        # with the previous shot on the grid saves about half of them
+        rows, shots, sizes = 0, 0, set()
+        numerov_rows, match_defect = potentials._numerov_rows, potentials._match_defect
+
+        def counted_rows(*args):
+            nonlocal rows
+            for row in numerov_rows(*args):
+                rows += 1
+                yield row
+
+        def counted_shot(rho2, *args):
+            nonlocal shots
+            shots += 1
+            sizes.add(len(rho2))
+            return match_defect(rho2, *args)
+
+        monkeypatch.setattr(potentials, "_numerov_rows", counted_rows)
+        monkeypatch.setattr(potentials, "_match_defect", counted_shot)
+        solve_bound(v0, 0, 0)
+        (n,) = sizes
+        assert rows < 0.6 * shots * (n - 1)
+
+    def test_no_reuse_across_grid_retries(self, monkeypatch):
+        # rho_max = 12 leaves the Coulomb 1s tail alive, so the solver extends its
+        # grid twice; each grid starts with an empty memo, and the state is the one
+        # shots without any reuse give
+        match_defect, sizes = potentials._match_defect, []
+
+        def fresh_shot(rho2, veff, energy, hx, w0, memo=None):
+            sizes.append(len(rho2))
+            return match_defect(rho2, veff, energy, hx, w0)
+
+        reused = solve_bound(COULOMB, 0, 0, rho_max=12.0)
+        monkeypatch.setattr(potentials, "_match_defect", fresh_shot)
+        fresh = solve_bound(COULOMB, 0, 0, rho_max=12.0)
+        assert len(set(sizes)) == 3
+        assert reused.energy == fresh.energy and np.array_equal(reused.values, fresh.values)
 
     @pytest.mark.parametrize("n", [60, 120, 180, 240])
     def test_mesh_hamiltonian(self, n):
