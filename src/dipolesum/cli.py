@@ -163,16 +163,14 @@ def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
                          orders: list[int], tol: float) -> list[dict]:
     """Fine-mesh totals; the distance to the coarse mesh's total and to the closed form
     (on the shooter's level, a cross-check of the two solvers) must be <= max(tol, 1e-4).
-    A divergent order is reported as such: for Coulomb (also written gamma=-1) past
-    oracle.max_convergent_order, elsewhere where the closed form needs a divergent moment."""
+    An order whose closed form needs a moment that does not exist is reported divergent.
+    A Coulomb potential (also written gamma=-1) never comes here: its table is the
+    hydrogen state's, from coulomb_table_rows."""
     state = solve_bound(v0, l, nodes)
     chans = [channel(d, l) for d in ("plus", "minus")[: 1 + (l > 0)]]
     coarse, fine = (mesh_sum_rules(v0, l, nodes, chans, orders, n) for n in MESH_SIZES)
     # with a continuum, the sign of E_k is no physical split: print the total only
     confining = v0.confining()
-    # at l = 0 the Coulomb J = 3 form multiplies the divergent <rho^-3> by 0: that sum converges
-    coulomb = v0 in (COULOMB, power_law(-1))
-    top = max_convergent_order(bound_state(nodes + l + 1, l)) if coulomb else None
     gate = max(tol, 1e-4)
     rows = []
     for J in orders:
@@ -182,41 +180,34 @@ def potential_table_rows(v0: potentials.Potential, l: int, nodes: int,
                "J": J, "channel": "total", "discrete": total if confining else None,
                "continuum": None, "total": total, "constructive": None, "closed_form": None,
                "estimated_error": est, "route": "mesh", "pass": est <= gate}
-        divergent = coulomb and J > top
-        if not divergent:
-            try:
-                row["reference"] = closed_form_power_law(state, v0, J)   # expectation form
-            except DivergentExpectation:
-                divergent = not coulomb
-            except DipoleSumError:
-                pass   # no closed form: the estimate alone gates the row
-        if divergent:
+        try:
+            row["closed_form"] = closed = closed_form_power_law(state, v0, J)   # expectation form
+            row["pass"] = row["pass"] and abs(total - closed) <= gate
+        except DivergentExpectation:
             row.update(discrete=None, total=None, estimated_error=None, divergent=True)
-        row["pass"] = divergent or (row["pass"] and abs(total - row.get("reference", total)) <= gate)
+            row["pass"] = True      # correctly reported divergent
+        except DipoleSumError:
+            pass   # no closed form: the estimate alone gates the row
         rows.append(row)
     return rows
 
 
-def _closed(row: dict):
-    """The closed form a row is checked against: the Coulomb form, else the
-    expectation form of a potential row (None when there is neither)."""
-    return row["closed_form"] if row["closed_form"] is not None else row.get("reference")
-
-
-def _emit(rows: list[dict], fmt: str, stream) -> None:
+def _emit(rows: list[dict], fmt: str, stream) -> int:
+    """Write the rows to stream; return the exit code, 0 when every row passes, else 1."""
+    code = 0 if all(r["pass"] for r in rows) else 1
     if fmt == "json":
         json.dump(rows, stream, indent=2, default=float)
         stream.write("\n")
-        return
+        return code
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
             writer.writerow([r.get("J"), r.get("channel"),
                              r.get("discrete"), r.get("continuum"), r.get("total"),
-                             r.get("constructive"), _closed(r),
+                             r.get("constructive"), r.get("closed_form"),
                              r.get("pass")])
-        return
+        return code
     for r in rows:
         if r.get("divergent"):
             print(f"J={r['J']:+d} {r['channel']:>6}: div", file=stream)
@@ -226,8 +217,9 @@ def _emit(rows: list[dict], fmt: str, stream) -> None:
             return "      -" if x is None else (f"{x:.6f}" if isinstance(x, float) else str(x))
         print(f"J={r['J']:+d} {r['channel']:>6}: discrete={_f(r['discrete'])} "
               f"continuum={_f(r['continuum'])} total={_f(r['total'])} "
-              f"constructive={_f(r['constructive'])} closed={_f(_closed(r))} "
+              f"constructive={_f(r['constructive'])} closed={_f(r['closed_form'])} "
               f"{'PASS' if r['pass'] else 'FAIL'}", file=stream)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -567,20 +559,21 @@ def _cmd_table(args) -> int:
     orders = _parse_orders(args.orders)
     if args.state:
         n, l = _parse_state(args.state)
-        if args.nmax <= n:   # the discrete sums end at level nmax, above the state's
-            return _usage_error(f"--nmax must exceed the state's n = {n}")
-        if args.channel == "both":
-            channels = ["plus"] if l == 0 else ["plus", "minus", "total"]
-        else:
-            channels = [args.channel]
-        rows = coulomb_table_rows(n, l, orders, channels, args.nmax, args.tol)
-    elif args.potential:
-        v0 = _parse_potential(args.potential)
-        rows = potential_table_rows(v0, args.l, args.nodes, orders, args.tol)
-    else:
+    elif not args.potential:
         return _usage_error("table needs --state or --potential")
-    _emit(rows, args.format, sys.stdout)
-    return 0 if all(r["pass"] for r in rows) else 1
+    elif (v0 := _parse_potential(args.potential)) in (COULOMB, power_law(-1)):
+        n, l = args.nodes + args.l + 1, args.l   # the hydrogen state with these nodes
+    else:
+        return _emit(potential_table_rows(v0, args.l, args.nodes, orders, args.tol),
+                     args.format, sys.stdout)
+    if args.nmax <= n:   # the discrete sums end at level nmax, above the state's
+        return _usage_error(f"--nmax must exceed the state's n = {n}")
+    if args.channel == "both":
+        channels = ["plus"] if l == 0 else ["plus", "minus", "total"]
+    else:
+        channels = [args.channel]
+    return _emit(coulomb_table_rows(n, l, orders, channels, args.nmax, args.tol),
+                 args.format, sys.stdout)
 
 
 def _cmd_verify(args) -> int:

@@ -126,7 +126,7 @@ class TestTable:
         rows = json.loads(out)
         assert all(r["pass"] is True and r["route"] == "mesh" for r in rows)
         assert all(r["estimated_error"] <= 1e-4 for r in rows)
-        assert all(abs(r["total"] - r["reference"]) <= 1e-4 for r in rows)
+        assert all(abs(r["total"] - r["closed_form"]) <= 1e-4 for r in rows)
 
     def test_potential_with_continuum_prints_total_only(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--potential", "gamma=-1/2", "--orders", "0..1",
@@ -142,10 +142,11 @@ class TestTable:
     @pytest.mark.parametrize("argv", [["coulomb"], ["gamma=-1"], ["coulomb", "--l", "1"],
                                       ["gamma=-1/2"]])
     def test_potential_divergent_orders_reported(self, capsys, argv):
-        # Coulomb past J = 3 + l, and gamma=-1/2 at l = 0, J = 4 (<rho^-3>)
+        # Coulomb past J = 3 + l, and gamma=-1/2 at l = 0, J = 4 (<rho^-3>); a Coulomb
+        # table is the hydrogen state's, whose total channel prints one row per order
         top = 4 + ("--l" in argv)
         code, out, _ = run_cli(capsys, "table", "--potential", *argv,
-                               "--orders", f"3..{top}")
+                               "--orders", f"3..{top}", "--channel", "total")
         assert code == 0
         lines = out.splitlines()
         assert lines[-1] == f"J=+{top}  total: div"
@@ -157,7 +158,45 @@ class TestTable:
         assert code == 0
         row = json.loads(out)[-1]
         assert row["pass"] is True and "divergent" not in row
-        assert row["reference"] == pytest.approx(1.260834, abs=1e-6)
+        assert row["closed_form"] == pytest.approx(1.260834, abs=1e-6)
+
+    @pytest.mark.parametrize("extra", [[], ["--channel", "total"], ["--nmax", "300"]])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("l,nodes", [(0, 0), (1, 0), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("potential", ["coulomb", "gamma=-1"])
+    def test_coulomb_potential_is_the_hydrogen_state(self, capsys, potential, l, nodes, fmt,
+                                                     extra):
+        # the Coulomb level with K nodes at l is the hydrogen state n = K + l + 1
+        common = ["--orders=-2..4", "--format", fmt, *extra]
+        got = run_cli(capsys, "table", "--potential", potential, "--l", str(l),
+                      "--nodes", str(nodes), *common)
+        want = run_cli(capsys, "table", "--state", f"{nodes + l + 1}{'spdfg'[l]}", *common)
+        assert got == want
+        assert want[0] == 0 and want[1]
+
+    @pytest.mark.parametrize("argv,s0", [(["--l", "3", "--nodes", "12"], "244352/3"),
+                                         (["--nodes", "15"], "54656/1")])
+    def test_high_coulomb_level_rows_pass(self, capsys, argv, s0):
+        # gated on the exact S_J, not on the shooter's <rho^2> (1e-8 relative off at n = 16)
+        code, out, _ = run_cli(capsys, "table", "--potential", "coulomb", *argv,
+                               "--orders", "0..4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines and all(line.endswith(("PASS", ": div")) for line in lines)
+        assert f"constructive={s0} closed={s0} PASS" in out
+
+    def test_coulomb_potential_nmax_must_exceed_n(self, capsys):
+        code, out, err = run_cli(capsys, "table", "--potential", "coulomb", "--nmax", "1")
+        assert (code, out, err) == (2, "", "error: --nmax must exceed the state's n = 1\n")
+
+    def test_state_and_potential_rows_share_keys(self, capsys):
+        keys = []
+        for argv in (["--state", "2p"], ["--potential", "gamma=2", "--orders", "0..4"]):
+            code, out, _ = run_cli(capsys, "table", *argv, "--format", "json")
+            assert code == 0
+            keys.append({frozenset(r) for r in json.loads(out)})
+        assert keys[0] == keys[1]
+        assert all("reference" not in k and "closed_form" in k for k in keys[0])
 
     def test_potential_text_row_shape(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--potential", "gamma=2", "--orders", "0..4")
