@@ -604,7 +604,7 @@ def _cmd_matrix(args) -> int:
         json.dump(out, sys.stdout)
         print()
     else:
-        print(f"|<{args.state}| z |{args.to_n},{chan.target_l}>|^2 = {_frac_str(val)} = {float(val):.10g}")
+        print(f"|<{args.state}| z |{args.to_n},{chan.target_l}>|^2 = {out['z2']} = {out['z2_float']:.10g}")
     return 0
 
 

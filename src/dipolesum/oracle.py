@@ -8,8 +8,9 @@ integers, is rounded once and the giant power of (n-m)/(n+m) goes through
 log1p, the only float error; no alternating sum is done in floating point,
 and each element stays within a few ulp of the rounded exact value,
 float(bound_bound_z2).  A table grows a range of levels at a time: from
-n = m + 2 on, two integer polynomials in n, built once per range, give the
-per-level kernel's integers, so its floats, at a quarter to a ninth of the cost.
+n = m + 2 on, an integer polynomial in n, built once per range, and a closed
+product give the per-level kernel's integers, so its floats, at a quarter to a
+tenth of the cost.
 The table is one float64 array, and a sum weights all its levels at once with
 np.float_power(1/m^2 - 1/n^2, J), then one math.fsum.  np.float_power calls
 libm pow per element, as Python's float ** int does, so every term is the one
@@ -316,7 +317,7 @@ def contour_check(J: int) -> ContourReport:
         circ = residue_circle(n, J)
         term = (1.0 - 1.0 / n**2) ** J * float(z2_1s_to_np(n))
         rows.append((n, circ, term))
-    r2 = residue_circle(2, J)
+    r2 = rows[CONTOUR_LEVELS.index(2)][1]
     r2_half = residue_circle(2, J, radius=0.15 / 6.0)
     ref = _cached_channel(1, 0, "plus").integral(J, CONTOUR_PANELS, CONTOUR_ORDER,
                                                  u_hi=math.atan(CONTOUR_Y_CUT))

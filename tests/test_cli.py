@@ -268,6 +268,20 @@ class TestMatrix:
             if limit:
                 sys.set_int_max_str_digits(limit)
 
+    def test_text_line_shows_the_json_value(self, capsys):
+        argv = ["matrix", "--state", "2p", "--to-n", "2000", "--channel", "minus"]
+        code, text, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert text == f"|<2p| z |2000,0>|^2 = {data['z2']} = {data['z2_float']:.10g}\n"
+
+    def test_text_line_pinned(self, capsys):
+        code, out, err = run_cli(capsys, "matrix", "--state", "1s", "--to-n", "2",
+                                 "--channel", "plus")
+        assert (code, out, err) == (0, "|<1s| z |2,1>|^2 = 32768/59049 = 0.5549289573\n", "")
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("exc,code", [

@@ -11,6 +11,7 @@ import pytest
 from dipolesum import exactalg as xa
 from dipolesum.errors import DivergentAtOrigin, InvalidQuantumNumbers, NonPositiveQ
 from dipolesum.hydrogen import (
+    _linear_product,
     _z2_factors,
     _z2_polynomials,
     bound_bound_z2,
@@ -153,15 +154,31 @@ class TestFactoredKernel:
 
     @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
     def test_polynomials_are_exact(self, n, l, direction):
-        # num(to_n) = P T^2 and den(to_n) = c (to_n + n)^e from the integer
-        # polynomials, finished exactly, give the exact element
+        # num(to_n) = prefactor perm(to_n + l', 2l'+1) to_n^(2l') T^2 and
+        # den(to_n) = c (to_n + n)^e, finished exactly, give the exact element
         st, ch = bound_state(n, l), channel(direction, l)
-        p, t, c, e = _z2_polynomials(st, ch)
-        assert all(type(a) is int for a in p + t + [c, e])
+        prefactor, t, c, e = _z2_polynomials(st, ch)
+        assert all(type(a) is int for a in t + [prefactor, c, e])
+        lp = ch.target_l
+        # the closed product is the polynomial with roots -l'..l' and 0 (2l' times)
+        p = _linear_product([lp - r for r in range(2 * lp + 1)] + [0] * (2 * lp))
         for to_n in (n + 2, n + 3, 97, 2000):
-            num, den = _poly_value(p, to_n) * _poly_value(t, to_n) ** 2, c * (to_n + n) ** e
+            closed = prefactor * math.perm(to_n + lp, 2 * lp + 1) * to_n ** (2 * lp)
+            assert closed == prefactor * _poly_value(p, to_n), to_n
+            num, den = closed * _poly_value(t, to_n) ** 2, c * (to_n + n) ** e
             got = F(num, den) * F(to_n - n, to_n + n) ** (2 * (to_n - n - 2))
             assert got == bound_bound_z2(st, to_n, ch), to_n
+
+    @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
+    def test_short_ranges_equal_full_table(self, n, l, direction):
+        # single levels around m + 2, where the closed-product loop starts,
+        # and short ranges, as the matrix fuzz test and a growing table ask
+        st, ch = bound_state(n, l), channel(direction, l)
+        lo = ch.target_l + 1
+        full = bound_bound_z2_floats(st, ch, lo, 2000)
+        ranges = [(a, a) for a in (n, n + 1, n + 2, n + 3, 2000) if a >= lo]
+        for a, b in ranges + [(n + 2, n + 4), (1990, 2000)]:
+            assert bound_bound_z2_floats(st, ch, a, b) == full[a - lo:b - lo + 1], (a, b)
 
     @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
     def test_table_equals_per_level_finish(self, n, l, direction):
