@@ -16,7 +16,7 @@ from .hydrogen import (
     continuum_z2_1s,
     expectation_rho_power,
 )
-from .ladder import LadderFamily, build_f_ladder, build_g_ladder
+from .ladder import LadderFamily, family
 from .oracle import compare, continuum_integral_with_error, contour_check, discrete_sum
 from .potentials import COULOMB, LOG, GridFunction, Potential, negative_sum_rules, power_law, solve_bound
 from .sumrules import (

@@ -31,7 +31,7 @@ import numpy as np
 from . import oracle, potentials
 from .errors import DipoleSumError, DivergentExpectation, DivergentSumRule, NumericalFailure
 from .hydrogen import bound_bound_z2, bound_state, channel
-from .ladder import build_f_ladder
+from .ladder import family
 from .oracle import N_MAX, contour_check, max_convergent_order
 from .potentials import (COULOMB, LOG, MESH_SIZES, GridFunction, _default_rho_max,
                          grid_expectation, mesh_sum_rules, negative_sum_rules, power_law,
@@ -348,8 +348,7 @@ def verify_equivalences() -> list[dict]:
     for n, l, direction, J in [(2, 0, "plus", 3), (1, 0, "plus", 3),
                                (2, 1, "plus", 4), (2, 1, "minus", 4),
                                (3, 2, "plus", 4), (3, 2, "minus", 4)]:
-        fam = build_f_ladder(bound_state(n, l), channel(direction, l), 4)
-        rep = equivalence_suite(fam, J)
+        rep = equivalence_suite(family(n, l, direction), J)
         checks.append({"suite": "equivalences",
                        "check": f"pairings ({n},{l}) {direction} J={J}",
                        "pass": rep.passed,

@@ -99,34 +99,6 @@ def family(n: int, l: int, direction: str) -> LadderFamily:
     return fam
 
 
-@dataclass(frozen=True)
-class WronskianValue:
-    j: int
-    k: int
-    channel: Channel
-    value: Fraction
-
-
-class _Infinite:
-    """Marker for a Wronskian limit with surviving negative powers."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Infinite"
-
-
-INFINITE = _Infinite()
-
-
-def build_f_ladder(state: BoundState, chan: Channel, max_j: int) -> LadderFamily:
-    """The shared family of (state, chan) with rungs F_0..F_max_j built."""
-    return family(state.n, state.l, chan.direction).grow_f(max_j)
-
-
-def build_g_ladder(state: BoundState, chan: Channel, max_j: int) -> LadderFamily:
-    """The shared family of (state, chan) with rungs G_0..G_max_j built."""
-    return family(state.n, state.l, chan.direction).grow_g(max_j)
-
-
 def ladder_rung(fam: LadderFamily, j: int) -> PolyExp:
     """F_j with the raw (unprojected) seed at j = 0.
 
@@ -137,14 +109,11 @@ def ladder_rung(fam: LadderFamily, j: int) -> PolyExp:
     return fam.seed_raw if j == 0 else fam.grow_f(j).positive[j]
 
 
-def wronskian_at_origin(fam: LadderFamily, j: int, k: int):
-    """Exact rho -> 0 limit of F_j F_k' - F_k F_j' (family scaling included).
-
-    Returns WronskianValue, or INFINITE when negative powers survive.
-    """
+def wronskian_at_origin(fam: LadderFamily, j: int, k: int) -> Fraction | None:
+    """Exact rho -> 0 limit of F_j F_k' - F_k F_j' in family scaling (the
+    origin limit times norm2); None when negative powers survive, as in
+    exactalg.origin_limit."""
     fj, fk = ladder_rung(fam, j), ladder_rung(fam, k)
     prod = xa.sub(xa.mul(fj, xa.differentiate(fk)), xa.mul(fk, xa.differentiate(fj)))
     lim = xa.origin_limit(prod)
-    if lim is None:
-        return INFINITE
-    return WronskianValue(j=j, k=k, channel=fam.channel, value=lim * fam.norm2)
+    return None if lim is None else lim * fam.norm2

@@ -29,7 +29,7 @@ from .errors import (
     OutOfValidityRange,
 )
 from .hydrogen import BoundState, Channel, expectation_rho_power
-from .ladder import INFINITE, LadderFamily, family, ladder_rung, wronskian_at_origin
+from .ladder import LadderFamily, family, ladder_rung, wronskian_at_origin
 from .potentials import GridFunction, Potential, grid_expectation, grid_f_ladder, grid_overlap
 
 
@@ -204,39 +204,16 @@ class FChoice(Enum):
     RHO_V0_DOUBLE_PRIME = "rho_v0_double_prime"
 
 
-_POLY_CHOICES = {
-    FChoice.CONST: {0: Fraction(1)},
-    FChoice.RHO: {1: Fraction(1)},
-    FChoice.RHO2: {2: Fraction(1)},
-    FChoice.RHO3: {3: Fraction(1)},
-}
+# the choices f = rho^e
+_POWERS = {FChoice.CONST: 0, FChoice.RHO: 1, FChoice.RHO2: 2, FChoice.RHO3: 3}
 
 
-def _laurent_choice(choice: FChoice, v0: Potential) -> dict[int, Fraction]:
-    """f as a Laurent polynomial for the analytic choices (exact path)."""
-    if choice in _POLY_CHOICES:
-        return dict(_POLY_CHOICES[choice])
-    if v0.kind != "coulomb":
-        raise ValueError("exact path only implements the Coulomb potential")
-    if choice is FChoice.V0:
-        return {-1: Fraction(-1)}
-    if choice is FChoice.V0_PRIME:
-        return {-2: Fraction(1)}
-    if choice is FChoice.RHO_V0_DOUBLE_PRIME:
-        return {-2: Fraction(-2)}
-    raise ValueError(choice)
-
-
-def _origin_data(choice: FChoice, v0: Potential, state) -> tuple[Fraction | None, Fraction | None]:
-    """(b, q) with f -> b rho^q at the origin; (None, None) if not a power."""
-    if choice in _POLY_CHOICES:
-        e, c = next(iter(_POLY_CHOICES[choice].items()))
-        return c, Fraction(e)
+def _origin_data(choice: FChoice, v0: Potential) -> tuple[Fraction | None, Fraction | None]:
+    """(b, q) with f -> b rho^q at the origin, for every choice but R_SQUARED;
+    (None, None) if not a power.  For the Coulomb potential f is exactly b rho^q."""
+    if choice in _POWERS:
+        return Fraction(1), Fraction(_POWERS[choice])
     origin = v0.origin_power()
-    if choice is FChoice.R_SQUARED:
-        lp1 = state.l + 1 if hasattr(state, "l") else None
-        csq = state.c_origin_sq() if isinstance(state, BoundState) else Fraction(1)
-        return csq, Fraction(2 * lp1)
     if origin is None:  # log potential
         if choice is FChoice.V0:
             return None, None
@@ -264,10 +241,10 @@ def kramers_general_exact(state: BoundState, choice: FChoice) -> Fraction:
         -<f'''>/4 + k^2 <f'> + <v0' f + 2 v0 f'> + l(l+1) <f'/rho^2 - f/rho^3>
             = (b/2) C_l^2 (2l+1)^2 delta_{q, -2l}
 
-    for an exact Coulomb state.  Exactly zero whenever the combined weight is
-    integrable; DivergentExpectation otherwise.
+    for an exact Coulomb state.  Except for R_SQUARED, f is exactly the
+    origin power b rho^q of _origin_data.  Exactly zero whenever the combined
+    weight is integrable; DivergentExpectation otherwise.
     """
-    v0 = pots.COULOMB
     lam = Fraction(state.l * (state.l + 1))
     ksq = state.ksq
 
@@ -287,7 +264,8 @@ def kramers_general_exact(state: BoundState, choice: FChoice) -> Fraction:
         lhs = xa.overlap(usq, w) * state.norm2 * state.norm2
         return lhs  # q = 2l+2 never equals -2l
 
-    f = _laurent_choice(choice, v0)
+    b, q = _origin_data(choice, pots.COULOMB)
+    f = {int(q): b}
     f1 = _laurent_diff(f)
     f3 = _laurent_diff(f, 3)
     weight: dict[int, Fraction] = {}
@@ -314,9 +292,8 @@ def kramers_general_exact(state: BoundState, choice: FChoice) -> Fraction:
             raise DivergentExpectation(f"<rho^{e}> diverges for l = {state.l}")
         lhs += c * expectation_rho_power(state, e)
 
-    b, q = _origin_data(choice, v0, state)
     rhs = Fraction(0)
-    if q is not None and q == -2 * state.l:
+    if q == -2 * state.l:
         rhs = Fraction(b, 2) * state.c_origin_sq() * (2 * state.l + 1) ** 2
     return lhs - rhs
 
@@ -336,8 +313,8 @@ def kramers_general_grid(state: GridFunction, v0: Potential, choice: FChoice) ->
         # remaining identity terms vanish through the equation of motion
         return lhs
 
-    if choice in _POLY_CHOICES:
-        e = next(iter(_POLY_CHOICES[choice]))
+    if choice in _POWERS:
+        e = _POWERS[choice]
         f = rho ** float(e)
         f1 = e * rho ** (e - 1.0)
         f3 = (e * (e - 1) * (e - 2)) * rho ** (e - 3.0)
@@ -355,7 +332,7 @@ def kramers_general_grid(state: GridFunction, v0: Potential, choice: FChoice) ->
         w = w + lam * (f1 / rho**2 - f / rho**3)
     lhs = grid_expectation(state, lambda r: w)
 
-    b, q = _origin_data(choice, v0, state)
+    b, q = _origin_data(choice, v0)
     rhs = 0.0
     if q is not None and q == -2 * state.l:
         rhs = float(b) / 2.0 * state.c_origin() ** 2 * (2 * state.l + 1) ** 2
@@ -392,18 +369,11 @@ def kramers_recurrence(state: BoundState, J: int) -> Fraction:
 
 
 @dataclass
-class EquivalenceEntry:
-    j: int
-    k: int
-    overlap: Fraction | None      # <F_j | F_k> in family scaling, None if divergent
-
-
-@dataclass
 class EquivalenceReport:
     state: tuple
     channel: str
     J: int
-    entries: list[EquivalenceEntry]
+    overlaps: dict[tuple[int, int], Fraction | None]  # <F_j|F_k>, None if divergent
     identities: list[tuple[str, bool]]
 
     @property
@@ -414,36 +384,37 @@ class EquivalenceReport:
 def equivalence_suite(fam: LadderFamily, J: int) -> EquivalenceReport:
     """Check every pairing of order J against the boundary-term identity
 
-        <F_j | F_(k+1)> = <F_(j+1) | F_k> + W(F_j, F_k)|_0.
+        <F_j | F_(k+1)> = <F_(j+1) | F_k> + W(F_j, F_k)|_0,
+
+    with overlaps keyed (j, J - j), j <= J - j.  A divergent Wronskian (None)
+    passes when a side diverges or the two sides differ.  The family grows the
+    rungs the pairings read.
     """
     if J not in (3, 4):
         raise InvalidOrder("equivalence suite covers J = 3 and 4")
-    entries = []
+    overlaps = {}
     for j in range(0, J // 2 + 1):
         k = J - j
         try:
-            ov = fam.pair_overlap(ladder_rung(fam, j), ladder_rung(fam, k))
+            overlaps[j, k] = fam.pair_overlap(ladder_rung(fam, j), ladder_rung(fam, k))
         except DivergentAtOrigin:
-            ov = None
-        entries.append(EquivalenceEntry(j=j, k=k, overlap=ov))
+            overlaps[j, k] = None
     identities = []
     for j in range(0, (J - 1) // 2 + 1):
         k = J - 1 - j
         wr = wronskian_at_origin(fam, j, k)
-        left = next((e.overlap for e in entries if (e.j, e.k) == (j, k + 1)), None)
-        right_pair = (min(j + 1, k), max(j + 1, k))
-        right = next((e.overlap for e in entries if (e.j, e.k) == right_pair), None)
+        left, right = overlaps[j, k + 1], overlaps[min(j + 1, k), max(j + 1, k)]
         name = f"<F{j}|F{k + 1}> - <F{j + 1}|F{k}> = W(F{j},F{k})|0"
-        if wr is INFINITE or left is None or right is None:
-            ok = wr is INFINITE and (left is None or right is None or left != right)
+        if wr is None or left is None or right is None:
+            ok = wr is None and (left is None or right is None or left != right)
             identities.append((name + " [divergent boundary]", ok))
         else:
-            identities.append((name, left - right == wr.value))
+            identities.append((name, left - right == wr))
     return EquivalenceReport(
         state=(fam.state.n, fam.state.l),
         channel=fam.channel.direction,
         J=J,
-        entries=entries,
+        overlaps=overlaps,
         identities=identities,
     )
 

@@ -30,6 +30,7 @@ from dipolesum.errors import (
 )
 from dipolesum.hydrogen import bound_bound_z2, bound_bound_z2_floats, bound_state, channel
 from dipolesum.potentials import MESH_SIZES, mesh_spectrum, power_law, solve_bound
+from dipolesum.sumrules import FChoice
 
 
 def run_cli(capsys, *argv):
@@ -400,6 +401,32 @@ class TestKramers:
         rows = json.loads(out)
         assert all(r["pass"] for r in rows)
 
+    @pytest.mark.parametrize("state", ["1s", "2s"])
+    def test_divergent_weights_of_s_states(self, capsys, state):
+        # f = v0, v0' and rho v0'' give weights with rho^-4 and rho^-5 terms
+        divergent = {"v0": "<rho^-4> diverges for l = 0",
+                     "v0_prime": "<rho^-5> diverges for l = 0",
+                     "rho_v0_double_prime": "<rho^-5> diverges for l = 0"}
+        code, out, _ = run_cli(capsys, "kramers", "--state", state,
+                               "--orders", "0..1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["recurrence_residual"] for r in rows[:2]] == ["0/1", "0/1"]
+        assert [r["choice"] for r in rows[2:]] == [c.value for c in FChoice]
+        for row in rows[2:]:
+            if row["choice"] in divergent:
+                assert row["residual"] is None and row["note"] == divergent[row["choice"]]
+            else:
+                assert row["residual"] == "0/1" and "note" not in row
+        assert all(r["pass"] for r in rows)
+
+    def test_every_choice_exact_for_2p(self, capsys):
+        code, out, _ = run_cli(capsys, "kramers", "--state", "2p", "--format", "json")
+        assert code == 0
+        rows = [r for r in json.loads(out) if "choice" in r]
+        assert [r["choice"] for r in rows] == [c.value for c in FChoice]
+        assert all(r["residual"] == "0/1" and r["pass"] for r in rows)
+
 
 class TestPotentialCommand:
     def test_oscillator_diagnostics(self, capsys):
@@ -668,6 +695,8 @@ class TestVerify:
         assert all(c["pass"] for c in checks)
         names = " ".join(c["check"] for c in checks)
         assert "negative control" in names
+        pairings = [c for c in checks if c["check"].startswith("pairings ")]
+        assert len(pairings) == 6 and all(c["detail"] == "all exact" for c in pairings)
 
     def test_contour_suite_reads_report_gates(self, monkeypatch):
         # a residue term above 1 passes on the report's relative gate

@@ -26,6 +26,7 @@ from dipolesum.hydrogen import (
 )
 from dipolesum.oracle import _Channel
 from dipolesum.potentials import COULOMB
+from polyexp_helpers import normed_equal
 
 
 class TestChannel:
@@ -42,17 +43,17 @@ class TestChannel:
 class TestBoundState:
     def test_ground(self):
         s = bound_state(1, 0)
-        assert xa.normed_equal(s.radial, s.norm2, xa.polyexp({1: 2}, 1), F(1))
+        assert normed_equal(s.radial, s.norm2, xa.polyexp({1: 2}, 1), F(1))
 
     def test_first_excited_s(self):
         s = bound_state(2, 0)
-        assert xa.normed_equal(s.radial, s.norm2,
-                               xa.polyexp({2: 1, 1: -2}, F(1, 2)), F(1, 8))
+        assert normed_equal(s.radial, s.norm2,
+                            xa.polyexp({2: 1, 1: -2}, F(1, 2)), F(1, 8))
 
     def test_first_excited_p(self):
         s = bound_state(2, 1)
-        assert xa.normed_equal(s.radial, s.norm2,
-                               xa.polyexp({2: 1}, F(1, 2)), F(1, 24))
+        assert normed_equal(s.radial, s.norm2,
+                            xa.polyexp({2: 1}, F(1, 2)), F(1, 24))
 
     def test_invalid_quantum_numbers(self):
         with pytest.raises(InvalidQuantumNumbers):

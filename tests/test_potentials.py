@@ -1,5 +1,6 @@
 """Generic bound-state solver, grid expectations, grid ladders."""
 
+import functools
 import math
 import warnings
 from fractions import Fraction as F
@@ -10,7 +11,7 @@ import pytest
 from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
 from dipolesum import potentials
-from dipolesum.ladder import build_f_ladder
+from dipolesum.ladder import family
 from dipolesum.potentials import (
     COULOMB,
     LOG,
@@ -252,38 +253,47 @@ _SWEEP_CASES = [
     (power_law(1), 0, 7, False), (power_law(F(1, 2)), 0, 7, True),
     (power_law(-1), 0, 7, False), (power_law(F(-3, 2)), 0, 7, True), (LOG, 0, 7, False),
     (power_law(F(1, 2)), 0, 3, False)]
+# an energy below every potential of the sweep everywhere on its grid
+_BELOW_ALL = -1e6
+
+
+@functools.cache
+def _sweep(v0, l, nodes):
+    """The shooter's default grid of (l, nodes), the energies at and halfway between
+    the first 8 levels of its N = 180 mesh, and the plain loop's result at each of
+    them and at _BELOW_ALL (None where it finds no bound state)."""
+    rho_max = _default_rho_max(v0, l, nodes)
+    x = np.linspace(math.log(1e-8), math.log(rho_max), 8192)
+    rho2 = np.exp(x) ** 2
+    veff = l * (l + 1) / rho2 + 2.0 * v0.v(np.exp(x))
+    e = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0][:8]
+    hx, w0 = x[1] - x[0], math.exp((l + 0.5) * (x[0] - x[1]))
+    energies = [float(energy) for energy in sorted([*e, *(0.5 * (e[1:] + e[:-1]))])]
+    wanted = {}
+    for energy in [*energies, _BELOW_ALL]:
+        try:
+            wanted[energy] = _reference_match_defect(rho2, veff, energy, hx, w0)
+        except NoBoundState:
+            wanted[energy] = None
+    return (rho2, veff, hx, w0), energies, wanted
 
 
 class TestKernelsMatchReference:
     """The solver's matching loop and mesh match their plain references bit for bit."""
-
-    @staticmethod
-    def _sweep(v0, l, nodes):
-        # the shooter's default grid of (l, nodes) and the energies at and halfway
-        # between the first 8 levels of its N = 180 mesh
-        rho_max = _default_rho_max(v0, l, nodes)
-        x = np.linspace(math.log(1e-8), math.log(rho_max), 8192)
-        rho2 = np.exp(x) ** 2
-        veff = l * (l + 1) / rho2 + 2.0 * v0.v(np.exp(x))
-        e = mesh_spectrum(v0, l, MESH_SIZES[-1], rho_max)[0][:8]
-        args = (rho2, veff, x[1] - x[0], math.exp((l + 0.5) * (x[0] - x[1])))
-        return args, sorted([*e, *(0.5 * (e[1:] + e[:-1]))])
 
     @pytest.mark.parametrize("v0, l, nodes, rescales", _SWEEP_CASES)
     def test_match_defect(self, v0, l, nodes, rescales):
         # on the wide 7-node grids of gamma = 1/2 and -3/2 the inward pass rescales at
         # the lowest levels, whose early values then underflow: the nodes must be
         # counted before that (gamma = 1/2 counts 5 at its ground level)
-        (rho2, veff, hx, w0), energies = self._sweep(v0, l, nodes)
+        (rho2, veff, hx, w0), energies, wanted = _sweep(v0, l, nodes)
         rescaled = []
         for energy in energies:
-            try:
-                want = _reference_match_defect(rho2, veff, float(energy), hx, w0)
-            except NoBoundState:
+            if (want := wanted[energy]) is None:
                 with pytest.raises(NoBoundState):
-                    potentials._match_defect(rho2, veff, float(energy), hx, w0)
+                    potentials._match_defect(rho2, veff, energy, hx, w0)
                 continue
-            defect, w, nd = potentials._match_defect(rho2, veff, float(energy), hx, w0)
+            defect, w, nd = potentials._match_defect(rho2, veff, energy, hx, w0)
             assert defect == want[0] and nd == want[2], energy
             assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
             rescaled.append(want[3])
@@ -293,20 +303,13 @@ class TestKernelsMatchReference:
     def test_match_defect_with_memo(self, v0, l, nodes, rescales):
         # one memo carried through each order of the same energies: every shot that
         # reuses the previous outward prefix still matches the plain loop bit for bit
-        (rho2, veff, hx, w0), energies = self._sweep(v0, l, nodes)
-        energies = [float(e) for e in energies]
+        (rho2, veff, hx, w0), energies, wanted = _sweep(v0, l, nodes)
         turning = [np.nonzero(np.diff(np.signbit(potentials._log_grid_w(rho2, veff, e))))[0][-1]
                    for e in energies]
         assert turning == sorted(turning) and turning[0] < turning[-1]
         # up to the top level, then an energy below the potential everywhere, then down
-        up_down = [*energies[::2], -1e6, *energies[-2::-3]]
+        up_down = [*energies[::2], _BELOW_ALL, *energies[-2::-3]]
         shuffled = [energies[i] for i in np.random.default_rng(19).permutation(len(energies))]
-        wanted = {}
-        for energy in up_down + energies:
-            try:
-                wanted[energy] = _reference_match_defect(rho2, veff, energy, hx, w0)
-            except NoBoundState:
-                wanted[energy] = None
         for order in (energies, energies[::-1], shuffled, up_down):
             memo = {}
             for energy in order:
@@ -512,7 +515,7 @@ class TestGridLadder:
     def test_grid_matches_exact_ladder_coulomb_ground(self):
         st = solve_bound(COULOMB, 0, 0)
         ch = channel("plus", 0)
-        fam = build_f_ladder(bound_state(1, 0), ch, 1)
+        fam = family(1, 0, "plus").grow_f(1)
         got = [float(ch.weight) * grid_overlap(grid_f_ladder(st, COULOMB, ch, 0),
                                                grid_f_ladder(st, COULOMB, ch, j))
                for j in (0, 1)]

@@ -12,7 +12,7 @@ from dipolesum.errors import (
     OutOfValidityRange,
 )
 from dipolesum.hydrogen import bound_state, channel
-from dipolesum.ladder import build_f_ladder, build_g_ladder
+from dipolesum.ladder import family
 from dipolesum.potentials import COULOMB, LOG, grid_expectation, power_law, solve_bound
 from dipolesum.sumrules import (
     EinsteinInputs,
@@ -37,11 +37,11 @@ def oscillator():
 
 class TestConstructive:
     def test_ground_third_order(self):
-        fam = build_f_ladder(bound_state(1, 0), channel("plus", 0), 3)
+        fam = family(1, 0, "plus").grow_f(3)
         assert sum_rule_constructive(fam, 3) == F(16, 3)
 
     def test_excited_s_inverse_order(self):
-        fam = build_g_ladder(bound_state(2, 0), channel("plus", 0), 2)
+        fam = family(2, 0, "plus").grow_g(2)
         assert sum_rule_constructive(fam, -1) == 30
 
     def test_excited_p_totals(self):
@@ -63,7 +63,7 @@ class TestConstructive:
                 assert constructive_value(n, l, direction, J) == want, (n, l, direction, J)
 
     def test_divergence_for_deep_positive_orders_at_l0(self):
-        fam = build_f_ladder(bound_state(1, 0), channel("plus", 0), 4)
+        fam = family(1, 0, "plus").grow_f(4)
         with pytest.raises(DivergentAtOrigin):
             sum_rule_constructive(fam, 4)
 
@@ -217,44 +217,42 @@ class TestKramersRecurrence:
 
 class TestEquivalenceSuite:
     def test_excited_s(self):
-        fam = build_f_ladder(bound_state(2, 0), channel("plus", 0), 4)
+        fam = family(2, 0, "plus").grow_f(4)
         rep = equivalence_suite(fam, 3)
         assert rep.passed
-        values = {(e.j, e.k): e.overlap for e in rep.entries}
-        assert values[(1, 2)] == 2
-        assert values[(0, 3)] == -4
+        assert rep.overlaps[(1, 2)] == 2
+        assert rep.overlaps[(0, 3)] == -4
 
     def test_excited_p_fourth_order(self):
-        famp = build_f_ladder(bound_state(2, 1), channel("plus", 1), 4)
+        famp = family(2, 1, "plus").grow_f(4)
         rep = equivalence_suite(famp, 4)
         assert rep.passed
-        values = {(e.j, e.k): e.overlap for e in rep.entries}
-        assert values[(2, 2)] == F(2, 3)
-        assert values[(1, 3)] == F(2, 3)
+        assert rep.overlaps[(2, 2)] == F(2, 3)
+        assert rep.overlaps[(1, 3)] == F(2, 3)
 
     def test_l2_all_pairings_equal(self):
         for direction in ("plus", "minus"):
-            fam = build_f_ladder(bound_state(3, 2), channel(direction, 2), 4)
+            fam = family(3, 2, direction).grow_f(4)
             rep = equivalence_suite(fam, 4)
             assert rep.passed
-            vals = {e.overlap for e in rep.entries}
+            vals = set(rep.overlaps.values())
             assert len(vals) == 1
 
     def test_invalid_order(self):
-        fam = build_f_ladder(bound_state(2, 1), channel("plus", 1), 4)
+        fam = family(2, 1, "plus").grow_f(4)
         with pytest.raises(InvalidOrder):
             equivalence_suite(fam, 5)
 
     def test_divergent_pairings_recorded_as_none(self):
         # every 1s pairing of order 4 has a non-integrable origin term
-        fam = build_f_ladder(bound_state(1, 0), channel("plus", 0), 4)
+        fam = family(1, 0, "plus").grow_f(4)
         rep = equivalence_suite(fam, 4)
-        assert [e.overlap for e in rep.entries] == [None, None, None]
+        assert list(rep.overlaps.values()) == [None, None, None]
 
     def test_unrelated_error_propagates(self, monkeypatch):
         def broken(self, f, g):
             raise RuntimeError("not a divergence")
-        fam = build_f_ladder(bound_state(2, 0), channel("plus", 0), 4)
+        fam = family(2, 0, "plus").grow_f(4)
         monkeypatch.setattr(type(fam), "pair_overlap", broken)
         with pytest.raises(RuntimeError, match="not a divergence"):
             equivalence_suite(fam, 3)
@@ -262,7 +260,7 @@ class TestEquivalenceSuite:
 
 class TestMonotoneRatioLimit:
     def test_ratio_increases_toward_four_thirds(self):
-        fam = build_g_ladder(bound_state(1, 0), channel("plus", 0), 14)
+        fam = family(1, 0, "plus").grow_g(14)
         ratios = [sum_rule_constructive(fam, -(j + 1)) / sum_rule_constructive(fam, -j)
                   for j in range(1, 14)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
