@@ -221,25 +221,28 @@ MESH_SIZES = (120, 180)
 
 
 @lru_cache(maxsize=len(MESH_SIZES))
-def _laguerre_zeros(n: int) -> np.ndarray:
-    """Zeros of L_n, ascending, as eigenvalues of the Laguerre Jacobi matrix
-    (laggauss's weights overflow from n of about 180).  Read-only: callers share it."""
+def _laguerre_mesh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, t) of the regularised n-point Lagrange-Laguerre mesh at unit scale: x are the
+    zeros of L_n, ascending, as eigenvalues of the Laguerre Jacobi matrix (laggauss's
+    weights overflow from n of about 180), and t is twice the kinetic matrix, which
+    depends on n alone.  Read-only: callers share both."""
     k = np.arange(n)
     x = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
-    x.flags.writeable = False
-    return x
-
-
-def _mesh_hamiltonian(v0: Potential, l: int, n: int, r_max: float):
-    """(matrix, points r = h x) of the radial Hamiltonian on the regularised n-point
-    Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep. 565, 1); x are the
-    zeros of L_n.  Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
-    k, x = np.arange(n), _laguerre_zeros(n)
-    h, r = r_max / x[-1], r_max / x[-1] * x
     dx = np.subtract.outer(x, x) + np.eye(n)   # 1 on the diagonal, overwritten below
     sign = np.where(np.add.outer(k, k) & 1, -1.0, 1.0)   # (-1)^(i+j)
     t = sign * np.add.outer(x, x) / (np.sqrt(np.outer(x, x)) * dx * dx)
     np.fill_diagonal(t, (4.0 + (4 * n + 2) * x - x * x) / (12.0 * x * x))
+    x.flags.writeable = t.flags.writeable = False
+    return x, t
+
+
+def _mesh_hamiltonian(v0: Potential, l: int, n: int, r_max: float):
+    """(matrix, points r = h x) of the radial Hamiltonian on the regularised n-point
+    Lagrange-Laguerre mesh reaching r_max (Baye 2015, Phys. Rep. 565, 1): the shared
+    kinetic matrix of `_laguerre_mesh` scaled by 1/(2 h^2), plus the diagonal potential.
+    Its quadrature is diagonal: <a|f|b> = a . (f(r) b)."""
+    x, t = _laguerre_mesh(n)
+    h, r = r_max / x[-1], r_max / x[-1] * x
     return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
 
 
@@ -250,22 +253,34 @@ def mesh_spectrum(v0: Potential, l: int, n: int, r_max: float):
 
 
 def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> dict[int, float]:
-    """{J: sum over chans of w sum_k (2(E_k - E))^J <k|r|0>^2} for the level
-    (l, nodes), on n-point meshes that share the solver's extent as r_max.
-    Levels degenerate with it count in S_0 and drop out of J < 0."""
+    """{J: sum over chans of w <0|r (2(H' - E))^J r|0>} for the level (l, nodes), on
+    n-point meshes that share the solver's extent as r_max.
+
+    J >= 0 is a moment of the channel's mesh matrix H', with no diagonalisation:
+    from y_0 = r|0> and y_j+1 = 2(H' - E) y_j, S_J = w y_floor(J/2) . y_ceil(J/2).
+    J < 0 sums w (2(E_k - E))^J <k|r|0>^2 over the spectrum of H', where levels
+    degenerate with E drop out (they count in S_0)."""
     if nodes >= n:
         raise NotConverged(f"a {n}-point mesh holds no level with {nodes} nodes")
     r_max = _default_rho_max(v0, l, nodes)
     e, c, r = mesh_spectrum(v0, l, n, r_max)
     sums = dict.fromkeys(orders, 0.0)
+    v = r * c[:, nodes]
     for chan in chans:
-        ek, ck, _ = mesh_spectrum(v0, chan.target_l, n, r_max)
-        de = 2.0 * (ek - e[nodes])
-        de[np.abs(de) < 1e-8] = 0.0
-        me2 = float(chan.weight) * (ck.T @ (r * c[:, nodes])) ** 2
+        a = _mesh_hamiltonian(v0, chan.target_l, n, r_max)[0]
+        if min(orders) < 0:
+            ek, ck = np.linalg.eigh(a)
+            de = 2.0 * (ek - e[nodes])
+            de[np.abs(de) < 1e-8] = 0.0
+            me2 = float(chan.weight) * (ck.T @ v) ** 2
+        a[np.diag_indices(n)] -= e[nodes]
+        a *= 2.0   # a = 2(H' - E), formed in place
+        y = [v]
+        for _ in range((max(orders) + 1) // 2):   # the highest order needs ceil(J/2) products
+            y.append(a @ y[-1])
         for J in orders:
-            power = de**J if J >= 0 else np.divide(1.0, de**-J, out=np.zeros(n), where=de != 0.0)
-            sums[J] += float(power @ me2)
+            sums[J] += (float(chan.weight) * float(y[J // 2] @ y[-(-J // 2)]) if J >= 0 else
+                        float(np.divide(1.0, de**-J, out=np.zeros(n), where=de != 0.0) @ me2))
     return sums
 
 

@@ -11,6 +11,7 @@ import pytest
 from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
 from dipolesum import potentials
+from dipolesum.cli import main
 from dipolesum.ladder import family
 from dipolesum.potentials import (
     COULOMB,
@@ -247,6 +248,23 @@ def _reference_mesh_hamiltonian(v0, l, n, r_max):
     return t / (2.0 * h * h) + np.diag(l * (l + 1) / (2.0 * r * r) + v0.v(r)), r
 
 
+def _spectral_sums(v0, l, nodes, chans, orders, n):
+    """mesh_sum_rules summed over each channel's mesh spectrum at every order:
+    w sum_k (2(E_k - E))^J <k|r|0>^2, with levels degenerate with E out of J < 0."""
+    r_max = _default_rho_max(v0, l, nodes)
+    e, c, r = mesh_spectrum(v0, l, n, r_max)
+    sums = dict.fromkeys(orders, 0.0)
+    for chan in chans:
+        ek, ck, _ = mesh_spectrum(v0, chan.target_l, n, r_max)
+        de = 2.0 * (ek - e[nodes])
+        de[np.abs(de) < 1e-8] = 0.0
+        me2 = float(chan.weight) * (ck.T @ (r * c[:, nodes])) ** 2
+        for J in orders:
+            power = de**J if J >= 0 else np.divide(1.0, de**-J, out=np.zeros(n), where=de != 0.0)
+            sums[J] += float(power @ me2)
+    return sums
+
+
 # (potential, l, nodes of the grid, whether the inward pass rescales in the sweep)
 _SWEEP_CASES = [
     (COULOMB, 0, 7, False), (COULOMB, 2, 7, False), (power_law(2), 0, 7, False),
@@ -372,11 +390,13 @@ class TestKernelsMatchReference:
                 assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (v0, l)
 
     def test_laguerre_zeros_shared_read_only(self):
-        x = potentials._laguerre_zeros(MESH_SIZES[0])
-        assert potentials._laguerre_zeros(MESH_SIZES[0]) is x
-        with pytest.raises(ValueError):
-            x[0] = 0.0
-        assert potentials._laguerre_zeros.cache_parameters()["maxsize"] == len(MESH_SIZES)
+        # the zeros and the kinetic matrix are built once per mesh size and shared
+        mesh = potentials._laguerre_mesh(MESH_SIZES[0])
+        assert potentials._laguerre_mesh(MESH_SIZES[0]) is mesh
+        for a in mesh:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert potentials._laguerre_mesh.cache_parameters()["maxsize"] == len(MESH_SIZES)
 
 
 class TestMesh:
@@ -419,6 +439,50 @@ class TestMesh:
         got = mesh_sum_rules(v0, 0, 0, [channel("plus", 0)], orders, MESH_SIZES[-1])
         for J in orders:
             assert got[J] == pytest.approx(closed_form_power_law(st, v0, J), abs=1e-6), J
+
+    @pytest.mark.parametrize("v0, l, nodes, directions", [
+        *((power_law(2), l, 0, ("plus", "minus")[: 1 + (l > 0)]) for l in range(4)),
+        (power_law(1), 1, 1, ("plus", "minus")), (power_law(F(1, 2)), 0, 3, ("plus",)),
+        (LOG, 0, 0, ("plus",)), (LOG, 2, 0, ("plus", "minus")), (power_law(F(-1, 2)), 0, 0, ("plus",)),
+        (COULOMB, 0, 1, ("plus",)), (COULOMB, 1, 0, ("minus",))])   # 2s, and 2p- with its degenerate level
+    def test_moments_match_channel_spectrum(self, v0, l, nodes, directions):
+        # J < 0 is the spectral sum itself.  From J = 3 both routes round visibly: against the
+        # exact moment of the same float matrix the spectral sums are off by up to 1.6e-10 at
+        # J = 3 (Coulomb 2s) and 9.6e-9 at J = 4 (log), the moments by 2.3e-12 and 4.4e-9
+        bound = {0: 1e-10, 1: 1e-10, 2: 1e-10, 3: 5e-10, 4: 2e-8}
+        chans = [channel(d, l) for d in directions]
+        orders = range(-4, 5)
+        for size in MESH_SIZES:
+            got = mesh_sum_rules(v0, l, nodes, chans, orders, size)
+            want = _spectral_sums(v0, l, nodes, chans, orders, size)
+            for J in orders:
+                if J < 0:
+                    assert got[J] == want[J], (size, J)
+                else:
+                    assert got[J] == pytest.approx(want[J], rel=bound[J], abs=0), (size, J)
+        for J in orders:   # no row depends on the other orders asked for
+            assert mesh_sum_rules(v0, l, nodes, chans, [J], MESH_SIZES[-1])[J] == got[J], J
+
+    @pytest.mark.parametrize("l, k", [(0, 0), (1, 2), (2, 1), (3, 0), (0, 3)])
+    def test_oscillator_channels_exact(self, l, k):
+        # v0 = rho^2 / 2 links the level only to the adjacent shells, at 2(E_k - E) = +-2
+        closed = {"plus": (k + l + F(3, 2), k), "minus": (k + 1, k + l + F(1, 2))}
+        for d in ("plus", "minus")[: 1 + (l > 0)]:
+            ch = channel(d, l)
+            up, down = closed[d]
+            got = mesh_sum_rules(power_law(2), l, k, [ch], range(-4, 5), MESH_SIZES[-1])
+            for J, value in got.items():
+                exact = float(ch.weight * (up * F(2) ** J + down * F(-2) ** J))
+                assert value == pytest.approx(exact, rel=1e-10 if J <= 3 else 2e-6, abs=0), (d, J)
+
+    def test_table_diagonalises_once_per_mesh(self, monkeypatch, capsys):
+        # the J >= 0 channel sums are moments: only the state's own mesh spectrum is needed
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        main(["table", "--potential", "gamma=1", "--l", "1", "--nodes", "1", "--orders", "0..4"])
+        assert sorted(calls) == sorted(MESH_SIZES)
+        assert capsys.readouterr().out.count("J=") == 5
 
     def test_level_beyond_mesh_rejected(self):
         with pytest.raises(NotConverged):
