@@ -288,9 +288,42 @@ def mesh_sum_rules(v0: Potential, l: int, nodes: int, chans, orders, n: int) -> 
 HALF_GRID_TOL = 1e-6
 
 
+def _tridiagonal_solve(a, b, c, d) -> np.ndarray:
+    """x with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i] (a[0] and c[-1] unused), by cyclic
+    reduction without pivoting (Hockney 1965, J. ACM 12, 95) in log2 n array steps.
+
+    Each level writes its even rows as x = p - q x_left - s x_right, pads an even length
+    with one decoupled identity row (p = q = s = 0), and folds the odd rows into their even
+    neighbours; back-substitution runs level by level.  A zero or non-finite pivot raises
+    ZeroDivisionError."""
+    levels = []
+    with np.errstate(all="ignore"):
+        while True:
+            r = 1.0 / b[::2]
+            if not (np.isfinite(r).all() and r.all()):
+                raise ZeroDivisionError("zero or non-finite pivot")
+            p, q, s = d[::2] * r, a[::2] * r, c[::2] * r
+            if len(b) % 2 == 0:
+                p, q, s = (np.append(v, 0.0) for v in (p, q, s))
+            levels.append((len(b), p, q, s))   # half length: keeping a, c, d too raises peak memory
+            if len(b) == 1:
+                break
+            na, nc = -a[1::2], -c[1::2]
+            a, b, c, d = (na * q[:-1], b[1::2] + na * s[:-1] + nc * q[1:], nc * s[1:],
+                          d[1::2] + na * p[:-1] + nc * p[1:])
+        x = np.empty(0)
+        while levels:
+            n, p, q, s = levels.pop()
+            out, xz = np.empty(len(p) + len(x)), np.concatenate(([0.0], x, [0.0]))   # x = 0 past both ends
+            out[1::2], out[::2] = x, p - q * xz[:-1] - s * xz[1:]
+            x = out[:n]
+    return x
+
+
 def _dalgarno_lewis_sums(rho, u, v0: Potential, energy: float, chans, orders) -> dict[int, float]:
-    """negative_sum_rules on one log-uniform grid: each rung is one Thomas sweep,
-    without pivoting, through the Numerov rows of the interior points."""
+    """negative_sum_rules on one log-uniform grid: each rung is one _tridiagonal_solve
+    through the Numerov rows of the interior points; a zero or non-finite pivot raises
+    QuadratureNotConverged naming the rung."""
     x = np.log(rho)
     h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
     root, rho2 = np.sqrt(rho), rho * rho
@@ -298,22 +331,15 @@ def _dalgarno_lewis_sums(rho, u, v0: Potential, energy: float, chans, orders) ->
     for chan in chans:
         lp = chan.target_l
         hw = h2 * _log_grid_w(rho2, lp * (lp + 1) / rho2 + 2.0 * v0.v(rho), energy)
-        # the sweep runs on float arrays: lists of Python floats would triple its memory
-        off, diag = array("d", (1.0 - hw).tobytes()), array("d", (-2.0 - 10.0 * hw).tobytes())
+        off, diag = 1.0 - hw, -2.0 - 10.0 * hw
         f = [rho * u]
         for _ in range((1 - min(orders)) // 2):   # the deepest order needs ceil(|J|/2) rungs
             s = rho * root * f[-1]
-            rhs = array("d", (-h2 * (s[:-2] + 10.0 * s[1:-1] + s[2:])).tobytes())
-            c, d, upper, phi = 0.0, 0.0, array("d"), array("d")
-            for a, b, a_next, r in zip(off, islice(diag, 1, None), islice(off, 2, None), rhs):
-                m = 1.0 / (b - a * c)
-                c, d = a_next * m, (r - a * d) * m
-                upper.append(c)
-                phi.append(d)
-            p = 0.0
-            for i in range(len(phi) - 1, -1, -1):
-                p = phi[i] - upper[i] * p
-                phi[i] = p
+            rhs = -h2 * (s[:-2] + 10.0 * s[1:-1] + s[2:])
+            try:
+                phi = _tridiagonal_solve(off[:-2], diag[1:-1], off[2:], rhs)
+            except ZeroDivisionError as exc:
+                raise QuadratureNotConverged(f"Dalgarno-Lewis rung {len(f)} of l' = {lp}: {exc}") from None
             f.append(root * np.concatenate(([0.0], phi, [0.0])))   # phi = 0 at both ends
         for J in orders:
             k = -J // 2
@@ -332,14 +358,15 @@ def negative_sum_rules(state: GridFunction, v0: Potential, chans, orders) -> dic
 
     Precondition: no level of l' lies at E; degenerate Coulomb channels (l' <= n - 1)
     would need it projected out of every rung.  Sums that move by more than
-    HALF_GRID_TOL on every other grid point raise QuadratureNotConverged.
+    HALF_GRID_TOL on every other grid point, or are not finite, raise
+    QuadratureNotConverged.
     """
     if not orders or max(orders) >= 0:
         raise ValueError("negative_sum_rules takes orders J < 0")
     sums, half = (_dalgarno_lewis_sums(state.grid[::k], state.values[::k], v0, state.energy,
                                        chans, orders) for k in (1, 2))
     moved = max(abs(half[J] - sums[J]) / max(1.0, abs(sums[J])) for J in orders)
-    if moved > HALF_GRID_TOL:
+    if not moved <= HALF_GRID_TOL:   # a nan sum moves by nan, which must fail too
         raise QuadratureNotConverged(f"Dalgarno-Lewis sums move by {moved:.3g} on the half grid")
     return sums
 

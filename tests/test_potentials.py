@@ -1,5 +1,6 @@
 """Generic bound-state solver, grid expectations, grid ladders."""
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -8,8 +9,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from dipolesum.errors import NoBoundState, NotConverged, SingularDerivative
+from dipolesum.errors import NoBoundState, NotConverged, QuadratureNotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
+from dipolesum.integrate import simpson
 from dipolesum import potentials
 from dipolesum.cli import main
 from dipolesum.ladder import family
@@ -517,6 +519,124 @@ class TestNegativeSumRules:
         want = mesh_sum_rules(v0, 0, nodes, chans, orders, MESH_SIZES[-1])
         for J in orders:
             assert got[J] == pytest.approx(want[J], rel=1e-5), J
+
+
+def _reference_dalgarno_lewis_sums(rho, u, v0, energy, chans, orders):
+    """The plain Dalgarno-Lewis route the array kernel replaces: each rung is one Thomas
+    sweep, without pivoting, over the same Numerov rows, point by point."""
+    x = np.log(rho)
+    h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
+    root, rho2 = np.sqrt(rho), rho * rho
+    sums = dict.fromkeys(orders, 0.0)
+    for chan in chans:
+        lp = chan.target_l
+        hw = h2 * potentials._log_grid_w(rho2, lp * (lp + 1) / rho2 + 2.0 * v0.v(rho), energy)
+        off, diag = (1.0 - hw).tolist(), (-2.0 - 10.0 * hw).tolist()
+        f = [rho * u]
+        for _ in range((1 - min(orders)) // 2):
+            s = rho * root * f[-1]
+            rhs = (-h2 * (s[:-2] + 10.0 * s[1:-1] + s[2:])).tolist()
+            c, d, upper, phi = 0.0, 0.0, [], []
+            for a, b, a_next, r in zip(off, diag[1:], off[2:], rhs):
+                m = 1.0 / (b - a * c)
+                c, d = a_next * m, (r - a * d) * m
+                upper.append(c)
+                phi.append(d)
+            p = 0.0
+            for i in range(len(phi) - 1, -1, -1):
+                p = phi[i] - upper[i] * p
+                phi[i] = p
+            f.append(root * np.concatenate(([0.0], phi, [0.0])))
+        for J in orders:
+            k = -J // 2
+            sums[J] += float(chan.weight) * float(simpson(f[k] * f[-J - k] * rho, x=x))
+    return sums
+
+
+def _exact_1s(rho_max):
+    """The exact 1s state on an 8192-point log grid from rho = 1e-8."""
+    rho = np.exp(np.linspace(math.log(1e-8), math.log(rho_max), 8192))
+    return potentials.GridFunction(grid=rho, values=bound_state(1, 0).values(rho), l=0,
+                                   energy=-0.5)
+
+
+def _first_rung_rows(state, v0, chan):
+    """(a, b, c, d) of the first Dalgarno-Lewis rung, as _dalgarno_lewis_sums builds them."""
+    rho = state.grid
+    x = np.log(rho)
+    h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
+    lp = chan.target_l
+    hw = h2 * potentials._log_grid_w(rho * rho, lp * (lp + 1) / (rho * rho) + 2.0 * v0.v(rho),
+                                     state.energy)
+    s = rho * np.sqrt(rho) * rho * state.values
+    off = 1.0 - hw
+    return off[:-2], (-2.0 - 10.0 * hw)[1:-1], off[2:], -h2 * (s[:-2] + 10.0 * s[1:-1] + s[2:])
+
+
+class TestDalgarnoLewisKernel:
+    """The cyclic-reduction kernel against LAPACK, dense solves and the Thomas sweep it
+    replaced, and its failure contract."""
+
+    @pytest.mark.parametrize("v0, l, nodes, direction", [
+        (COULOMB, 0, None, "plus"),   # the exact 1s state on the shooter's default grid
+        (power_law(F(1, 2)), 0, 3, "plus"), (LOG, 1, 2, "minus"), (power_law(3), 2, 1, "plus")])
+    def test_matches_lapack(self, v0, l, nodes, direction):
+        from scipy.linalg import solve_banded   # a test dependency only
+        # at 3 nodes the gamma=1/2 rows are indefinite: the l' = 1 levels below E count too
+        state = (_exact_1s(_default_rho_max(COULOMB, 0, 0)) if nodes is None else
+                 solve_bound(v0, l, nodes))
+        a, b, c, d = _first_rung_rows(state, v0, channel(direction, l))
+        banded = np.zeros((3, len(b)))
+        banded[0, 1:], banded[1], banded[2, :-1] = c[:-1], b, a[1:]
+        want = solve_banded((1, 1), banded, d)
+        got = potentials._tridiagonal_solve(a, b, c, d)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 1000, 1001])
+    def test_padding_path(self, n):
+        # odd and even lengths, so every level count and padding pattern of small n
+        rng = np.random.default_rng(n)
+        a, c, d = rng.standard_normal((3, n))
+        b = 4.0 + rng.standard_normal(n)
+        dense = np.diag(b) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+        want = np.linalg.solve(dense, d)
+        got = potentials._tridiagonal_solve(a, b, c, d)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("v0, l, nodes, direction", [
+        (COULOMB, 0, 0, "plus"), (COULOMB, 1, 0, "plus"), (COULOMB, 2, 0, "plus"),
+        (COULOMB, 3, 0, "plus"), (COULOMB, 4, 0, "plus"),
+        (power_law(2), 0, 0, "plus"), (power_law(2), 1, 0, "plus"), (power_law(1), 0, 0, "plus"),
+        (power_law(F(1, 2)), 0, 3, "plus"), (power_law(F(-1, 2)), 0, 0, "plus"),
+        (power_law(3), 2, 1, "plus"), (LOG, 0, 0, "plus"), (LOG, 1, 2, "plus"),
+        (LOG, 1, 2, "minus")])
+    def test_matches_thomas_sweep(self, v0, l, nodes, direction):
+        state, orders = solve_bound(v0, l, nodes), range(-8, 0)
+        for k in (1, 2):   # the shooter's grid and the half grid of negative_sum_rules
+            args = (state.grid[::k], state.values[::k], v0, state.energy, [channel(direction, l)],
+                    orders)
+            got, want = potentials._dalgarno_lewis_sums(*args), _reference_dalgarno_lewis_sums(*args)
+            for J in orders:
+                assert got[J] == pytest.approx(want[J], rel=2e-10), (k, J)
+
+    @pytest.mark.parametrize("pivot", [0.0, math.inf, math.nan])
+    def test_zero_or_nonfinite_pivot(self, pivot):
+        # with a first pivot of 0 the system is nonsingular, but elimination without pivoting fails
+        one = np.ones(3)
+        with pytest.raises(ZeroDivisionError, match="pivot"):
+            potentials._tridiagonal_solve(one, np.array([pivot, 4.0, 4.0]), one, one)
+
+    def test_nonfinite_pivot_names_the_rung(self):
+        state = dataclasses.replace(_exact_1s(37.0), energy=math.nan)
+        with pytest.raises(QuadratureNotConverged, match="rung 1 of l' = 1: zero or non-finite pivot"):
+            negative_sum_rules(state, COULOMB, [channel("plus", 0)], [-1, -2])
+
+    def test_nan_sums_fail_the_half_grid_guard(self):
+        # the every-other-point grid does not hold u[5001], so only the full-grid sums are nan
+        state = _exact_1s(37.0)
+        state.values[5001] = math.nan
+        with pytest.raises(QuadratureNotConverged, match="half grid"):
+            negative_sum_rules(state, COULOMB, [channel("plus", 0)], [-1, -2])
 
 
 class TestGridExpectation:
