@@ -11,20 +11,20 @@ The reduced radial equation solved here is
 
     u'' = (l(l+1)/rho^2 + 2 v0(rho) - 2 e) u,   int u^2 drho = 1.
 
-Bound states are found by Numerov integration on a log-uniform grid
-(x = log rho, w = u/sqrt(rho)): the log-derivative matching defect is
-bracketed around the level of a Lagrange-Laguerre mesh spectrum, which fixes
-the node count, and the shooter's own eigenvalue is returned.  The log grid
-resolves the rho**(l+1) origin behaviour and one policy covers every
-potential kind.  Negative-order sum rules are solved on the same grid.
+Bound states are found on a log-uniform grid (x = log rho, w = u/sqrt(rho)):
+each trial energy solves the Numerov rows of the whole grid once, with a unit
+source at the outermost turning point, by cyclic reduction (the matrix Numerov
+method).  The resulting matching defect is bracketed around the level of a
+Lagrange-Laguerre mesh spectrum, which fixes the node count, and the shooter's
+own eigenvalue is returned.  The log grid resolves the rho**(l+1) origin
+behaviour and one policy covers every potential kind.  Negative-order sum
+rules are solved on the same grid by the same tridiagonal kernel.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -371,40 +371,22 @@ def negative_sum_rules(state: GridFunction, v0: Potential, chans, orders) -> dic
     return sums
 
 
-def _sign_changes(w: array, start: int, stop: int) -> int:
-    """Count of w[i - 1] * w[i] < 0.0 for start <= i < stop: the products of the
-    stored values, so a product that underflows to 0 counts no node."""
-    a = np.frombuffer(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return int(np.count_nonzero(a[start - 1:stop - 1] * a[start:stop] < 0.0))
+def _match_defect(rho2, veff, energy, hx, w0):
+    """Matching defect at a trial energy from one _tridiagonal_solve of the Numerov rows:
+    the matrix Numerov method (Pillai, Goglio & Walker 2012, Am. J. Phys. 80, 1017).
 
+    The rows f[i-1] w[i-1] + (10 f[i] - 12) w[i] + f[i+1] w[i+1] = 0 of the interior
+    points take the outward start w[0] = w0 w[1] and the inward start
+    w[-1] = exp(-kappa hx) w[-2] into their end rows, with a unit source at the
+    outermost turning point m.  Left of m, w is the outward solution over the
+    Wronskian of the outward and inward solutions (the inward one does not vanish in
+    the forbidden region), so the defect 1/w[1] has the Wronskian's sign and changes
+    sign at each shooter level and nowhere else; at the level, w is the eigenvector
+    after one step of inverse iteration.
 
-# Points per tolist() batch of the matching loops: float lists of the whole grid
-# would add peak memory
-_BATCH = 1024
-
-
-def _numerov_rows(f: np.ndarray, g: np.ndarray, steps: int):
-    """(f[s], g[s + 1], f[s + 2]) for s < steps, as Python floats read through
-    tolist() a batch at a time."""
-    def batch(i):
-        fi = f[i:min(i + _BATCH, steps) + 2].tolist()
-        return zip(fi, g[i + 1:i + len(fi) - 1].tolist(), islice(fi, 2, None))
-    return chain.from_iterable(map(batch, range(0, steps, _BATCH)))
-
-
-def _match_defect(rho2, veff, energy, hx, w0, memo=None):
-    """Log-derivative mismatch at the outermost turning point.
-
-    Returns (defect, assembled w, node count).  The outward and inward Numerov
-    loops run on Python floats read through tolist(), with 12 - 10 f computed
-    beforehand; nodes are counted on the stored w after each pass.
-
-    memo, a dict owned by the caller for one grid (rho2, veff, hx, w0), carries the
-    previous shot's f and outward buffer.  Outward w[i] depends only on w0 and
-    f[:i + 1], so where f[:k] equals the previous f[:k] (near the origin an energy
-    step rounds away in f = 1 - hx^2 W / 12), w[:k] is the previous w[:k] bit for
-    bit: the shot keeps that prefix and resumes the loop at step k - 2.
+    Returns (defect, w, node count): nodes are the sign changes of w, where a product
+    of neighbours that underflows to 0 counts none.  A zero or non-finite pivot, or a
+    solve that gives no finite defect, raises NotConverged naming the energy.
     """
     big_w = _log_grid_w(rho2, veff, energy)
     f = 1.0 - (hx * hx / 12.0) * big_w
@@ -415,67 +397,22 @@ def _match_defect(rho2, veff, energy, hx, w0, memo=None):
     m = int(sign_change[-1]) + 1
     if m < 4 or m > n - 4:
         raise NoBoundState("turning point too close to the grid edge")
-
-    # w is appended to float arrays: lists of Python floats would add peak memory
-    if memo:   # emptied here, so a shot that raises below leaves no stale prefix
-        prev = memo.pop("w")
-        stop = min(len(prev), m + 2)
-        differ = f[:stop] != memo.pop("f")[:stop]
-        k = max(int(differ.argmax()) if differ.any() else stop, 2)
-        # a copy: cutting the old buffer in place left perfbench's peak RSS 0.3 MB higher
-        wout = prev[:k]
-        del prev
-    else:
-        wout, k = array("d", (w0, 1.0)), 2
-    g = 12.0 - 10.0 * f
-    put = wout.append
-    wp, wc = wout[k - 2], wout[k - 1]
-    for fp, gc, fn in _numerov_rows(f[k - 2:], g[k - 2:], m + 2 - k):
-        wn = (gc * wc - fp * wp) / fn
-        put(wn)
-        wp, wc = wc, wn
-    if memo is not None:
-        memo["f"], memo["w"] = f, wout
-    nodes = _sign_changes(wout, 2, m + 2)
-
-    # inward from the last point: win[k] = w[n-1-k], for k up to n - m
-    kappa = math.sqrt(max(big_w[-1], 1.0))
-    wp = 1e-280
-    wc = wp * math.exp(kappa * hx)
-    win = array("d", (wp, wc))
-    put = win.append
-    counted = 2   # sign changes up to win[counted - 1] are in nodes
-    for fp, gc, fn in _numerov_rows(f[::-1], g[::-1], n - m - 1):
-        wn = (gc * wc - fp * wp) / fn
-        put(wn)
-        if abs(wn) > 1e250:
-            # the rescaled early values underflow: count the nodes among them first
-            nodes += _sign_changes(win, counted, len(win) - 1)
-            counted = len(win) - 1
-            win = array("d", [v * 1e-200 for v in win])
-            put = win.append
-            wc, wn = win[-2], win[-1]
-        wp, wc = wc, wn
-    nodes += _sign_changes(win, counted, len(win))
-
-    if wout[m] == 0.0 or win[-2] == 0.0:
-        return math.inf, None, nodes
-    scale = wout[m] / win[-2]
-    dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
-    din = (win[-3] * scale - win[-1] * scale) / (2 * hx)
-    defect = (dout - din) / max(abs(wout[m]), 1e-300)
-    w = np.concatenate([np.frombuffer(wout)[: m + 1], np.frombuffer(win)[-3::-1] * scale])
-    return defect, w, nodes
-
-
-def _require_turning_point(rho2, veff, energy, size):
-    """Raise NotConverged when W keeps one sign on the grid at this energy from the
-    size-point mesh, where a shot would find no classical region: a drowned mesh level
-    of a steep wall (g from about 160, on a retry), or the window end below the ground
-    level of g from about 60, which lies under the potential everywhere."""
-    if not np.diff(np.signbit(_log_grid_w(rho2, veff, energy))).any():
-        raise NotConverged(f"the {size}-point mesh does not resolve this level: energy "
-                           f"{energy:.6g} has no classical turning point on the grid")
+    w_end = math.exp(-math.sqrt(max(big_w[-1], 1.0)) * hx)
+    diag = 10.0 * f[1:-1] - 12.0
+    diag[0] += f[0] * w0
+    diag[-1] += f[-1] * w_end
+    source = np.zeros(n - 2)
+    source[m - 1] = 1.0
+    try:
+        inner = _tridiagonal_solve(f[:-2], diag, f[2:], source)
+    except ZeroDivisionError as exc:
+        raise NotConverged(f"the Numerov rows at energy {energy!r} are singular: {exc}") from None
+    w = np.concatenate(([w0 * inner[0]], inner, [w_end * inner[-1]]))
+    if inner[0] == 0.0 or not np.isfinite(w).all():
+        raise NotConverged(f"the Numerov solve at energy {energy!r} gives no finite defect")
+    with np.errstate(over="ignore"):
+        nodes = int(np.count_nonzero(w[:-1] * w[1:] < 0.0))
+    return 1.0 / float(inner[0]), w, nodes
 
 
 # Points of the shooter's first log grid (each retry has 1.3 times more) and the
@@ -518,29 +455,32 @@ def solve_bound(
                 _log_grid_w(rho2, veff, e[nodes]))
             rho_max = float(rho[np.argmax(reach > 0.5) - 1])
         w0 = math.exp((l + 0.5) * (x[0] - x[1]))
-        memo = {}   # the shots on this grid share their outward prefix (_match_defect)
 
-        # the defect has the sign of the Wronskian of the outward and inward
-        # solutions (the inward one does not vanish in the forbidden region), so it
-        # changes sign at each shooter level and nowhere else: bracket the level
-        # within 1e-6 of the mesh level, else within halfway to the neighbouring mesh
-        # levels (or to the continuum threshold), and refine it inside the bracket
+        # the defect changes sign at each shooter level and nowhere else (_match_defect):
+        # bracket the level within 1e-6 of the mesh level, else within halfway to the
+        # neighbouring mesh levels (or to the continuum threshold) but above e_turn, the
+        # lowest energy with a classical region on the grid, and refine it in the bracket
         if not v0.confining() and e[nodes] >= 0.0:
             raise NoBoundState("requested state above the continuum threshold")
-        _require_turning_point(rho2, veff, e[nodes], size)
+        if not np.diff(np.signbit(_log_grid_w(rho2, veff, e[nodes]))).any():
+            # a drowned mesh level of a steep wall (g from about 200): W keeps one sign
+            raise NotConverged(f"the {size}-point mesh does not resolve this level: energy "
+                               f"{e[nodes]:.6g} has no classical turning point on the grid")
         e_up = e[nodes + 1] if v0.confining() else min(e[nodes + 1], 0.0)
         e_lo = e[nodes] - 0.5 * (e[nodes] - e[nodes - 1] if nodes else e[1] - e[0])
+        e_turn = float(np.min(0.5 * veff + 0.125 / rho2))   # W < 0 somewhere above e_turn
+        if e_lo <= e_turn:   # a steep wall's ground level (g from about 60)
+            e_lo = 0.5 * (e_turn + e[nodes])
         e_hi = 0.5 * (e[nodes] + e_up)
         step = 1e-6 * max(abs(e[nodes]), 1e-3)
         a, b = max(e[nodes] - step, e_lo), min(e[nodes] + step, e_hi)
-        fa = _match_defect(rho2, veff, a, hx, w0, memo)[0]
-        fb = _match_defect(rho2, veff, b, hx, w0, memo)[0]
+        fa = _match_defect(rho2, veff, a, hx, w0)[0]
+        fb = _match_defect(rho2, veff, b, hx, w0)[0]
         if fa * fb > 0.0:   # widen below the mesh level first, then above it
-            _require_turning_point(rho2, veff, e_lo, size)
-            f_lo = _match_defect(rho2, veff, e_lo, hx, w0, memo)[0]
+            f_lo = _match_defect(rho2, veff, e_lo, hx, w0)[0]
             if fa * f_lo <= 0.0:
                 a, fa, b, fb = e_lo, f_lo, a, fa
-            elif fb * (f_hi := _match_defect(rho2, veff, e_hi, hx, w0, memo)[0]) <= 0.0:
+            elif fb * (f_hi := _match_defect(rho2, veff, e_hi, hx, w0)[0]) <= 0.0:
                 a, fa, b, fb = b, fb, e_hi, f_hi
             else:
                 raise NotConverged("no level within halfway to the neighbouring mesh levels")
@@ -551,7 +491,7 @@ def solve_bound(
         for _ in range(80):
             tol = SHOOT_REL_TOL * max(abs(a), abs(b), 1e-3 * abs(e[nodes]))
             energy = min(max((a * fb - b * fa) / (fb - fa), a + tol), b - tol)
-            fc, w, nd = _match_defect(rho2, veff, energy, hx, w0, memo)
+            fc, w, nd = _match_defect(rho2, veff, energy, hx, w0)
             if fc * fb > 0.0:   # the level is below: move b, halve fa if a is stuck
                 b, fb, fa, side = energy, fc, fa * (0.5 if side < 0 else 1.0), -1
             else:

@@ -480,13 +480,11 @@ class TestPotentialCommand:
         assert energies[0] < energies[1] < energies[2] < math.pi**2 / 2
 
     def test_unresolved_steep_wall(self, capsys):
-        # rho^60/60 >= 0 has levels, but the N = 180 mesh does not hold the wall: no
-        # shooter level lies within 1e-6 of its ground level, and the window below it
-        # reaches -1.75, under the potential everywhere
-        code, out, err = run_cli(capsys, "potential", "--potential", "gamma=60")
+        # rho^150/150 >= 0 has levels, but the tail of the first grid's level is alive and
+        # each retry's longer grid puts the wall where the N = 180 mesh drowns its levels
+        code, out, err = run_cli(capsys, "potential", "--potential", "gamma=150")
         assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: NotConverged: the 180-point mesh does not resolve this level")
+        assert err == "error: NotConverged: grid extension retries exhausted\n"
 
     def test_steep_negative_power_excited_level(self, capsys):
         code, out, _ = run_cli(capsys, "potential", "--potential", "gamma=-3/2", "--nodes", "1",

@@ -177,6 +177,24 @@ class TestSolveBound:
         with pytest.raises(NotConverged, match=match):
             solve_bound(power_law(2), 0, nodes)
 
+    @pytest.mark.parametrize("fake, match", [
+        ("raise", "rows at energy 1.4999.* are singular: zero or non-finite pivot"),
+        (np.inf, "solve at energy 1.4999.* gives no finite defect"),
+        (0.0, "solve at energy 1.4999.* gives no finite defect")])
+    def test_singular_numerov_rows(self, monkeypatch, capsys, fake, match):
+        # a zero or non-finite pivot, or a solve that gives no finite defect, is NotConverged
+        # naming the energy, never an escaping ZeroDivisionError or an infinite defect
+        def solve(a, b, c, d):
+            if fake == "raise":
+                raise ZeroDivisionError("zero or non-finite pivot")
+            return np.full(len(d), fake)
+
+        monkeypatch.setattr(potentials, "_tridiagonal_solve", solve)
+        with pytest.raises(NotConverged, match=match):
+            solve_bound(power_law(2), 0, 0)
+        assert main(["potential", "--potential", "gamma=2"]) == 1
+        assert capsys.readouterr().err.startswith("error: NotConverged: the Numerov")
+
     def test_highly_excited_oscillator(self):
         # eps = 2 n_r + 3/2 at l = 0; the Numerov step limits this level to ~1e-7
         st = solve_bound(power_law(2), 0, 20)
@@ -197,11 +215,22 @@ class TestSolveBound:
         mesh = mesh_spectrum(v0, l, MESH_SIZES[-1], st.grid[-1])[0][nodes]
         assert st.energy == pytest.approx(mesh, rel=1e-8, abs=0)
 
+    @pytest.mark.parametrize("g", [60, 80, 100])
+    def test_steep_wall_ground_level(self, monkeypatch, g):
+        # the N = 180 mesh puts these ground levels 3.5e-6 relative or more above the
+        # shooter's, and the window below them reaches under the potential everywhere:
+        # it starts above the lowest energy with a classical region instead
+        st = solve_bound(power_law(g), 0, 0)
+        monkeypatch.setattr(potentials, "SHOOT_POINTS", 2 * potentials.SHOOT_POINTS)
+        fine = solve_bound(power_law(g), 0, 0)
+        assert st.nodes == 0 and st.energy < math.pi**2 / 2
+        assert st.energy == pytest.approx(fine.energy, rel=2e-8, abs=0)
+
 
 def _reference_match_defect(rho2, veff, energy, hx, w0):
-    """The plain matching loop the solver's kernel must reproduce bit for bit: every
-    step recomputes 12 - 10 f and tests wn * wc < 0.0 for a node.  Returns
-    (defect, w, nodes, whether the inward pass rescaled)."""
+    """The plain shooting loop the solver's Numerov solve replaced: outward and inward
+    recurrences matched in log-derivative at the outermost turning point, with a
+    per-step wn * wc < 0.0 test for a node.  Returns (defect, w, nodes)."""
     big_w = potentials._log_grid_w(rho2, veff, energy)
     f = (1.0 - (hx * hx / 12.0) * big_w).tolist()
     n = len(f)
@@ -217,26 +246,24 @@ def _reference_match_defect(rho2, veff, energy, hx, w0):
         wout[i] = ((12.0 - 10.0 * f[i - 1]) * wout[i - 1] - f[i - 2] * wout[i - 2]) / f[i]
         if wout[i] * wout[i - 1] < 0.0:
             nodes += 1
-    # inward from the last point, win[k] = w[m-1+k]
+    # inward from the last point, win[k] = w[m-1+k], rescaled before it overflows
     win = [0.0] * (n - m + 1)
     win[-1] = 1e-280
     win[-2] = win[-1] * math.exp(math.sqrt(max(big_w[-1], 1.0)) * hx)
-    rescaled = False
     for k in range(n - m - 2, -1, -1):
         j = m - 1 + k
         win[k] = ((12.0 - 10.0 * f[j + 1]) * win[k + 1] - f[j + 2] * win[k + 2]) / f[j]
         if abs(win[k]) > 1e250:
             win[k:] = [v * 1e-200 for v in win[k:]]
-            rescaled = True
         if win[k] * win[k + 1] < 0.0:
             nodes += 1
     if wout[m] == 0.0 or win[1] == 0.0:
-        return math.inf, None, nodes, rescaled
+        return math.inf, None, nodes
     scale = wout[m] / win[1]
     dout = (wout[m + 1] - wout[m - 1]) / (2 * hx)
     din = (win[2] * scale - win[0] * scale) / (2 * hx)
     defect = (dout - din) / max(abs(wout[m]), 1e-300)
-    return defect, np.concatenate([wout[: m + 1], np.array(win[2:]) * scale]), nodes, rescaled
+    return defect, np.concatenate([wout[: m + 1], np.array(win[2:]) * scale]), nodes
 
 
 def _reference_mesh_hamiltonian(v0, l, n, r_max):
@@ -267,21 +294,18 @@ def _spectral_sums(v0, l, nodes, chans, orders, n):
     return sums
 
 
-# (potential, l, nodes of the grid, whether the inward pass rescales in the sweep)
+# (potential, l, nodes) of the sweep's grids
 _SWEEP_CASES = [
-    (COULOMB, 0, 7, False), (COULOMB, 2, 7, False), (power_law(2), 0, 7, False),
-    (power_law(1), 0, 7, False), (power_law(F(1, 2)), 0, 7, True),
-    (power_law(-1), 0, 7, False), (power_law(F(-3, 2)), 0, 7, True), (LOG, 0, 7, False),
-    (power_law(F(1, 2)), 0, 3, False)]
-# an energy below every potential of the sweep everywhere on its grid
-_BELOW_ALL = -1e6
+    (COULOMB, 0, 7), (COULOMB, 2, 7), (power_law(2), 0, 7), (power_law(1), 0, 7),
+    (power_law(F(1, 2)), 0, 7), (power_law(-1), 0, 7), (power_law(F(-3, 2)), 0, 7), (LOG, 0, 7),
+    (power_law(F(1, 2)), 0, 3)]
 
 
 @functools.cache
 def _sweep(v0, l, nodes):
     """The shooter's default grid of (l, nodes), the energies at and halfway between
     the first 8 levels of its N = 180 mesh, and the plain loop's result at each of
-    them and at _BELOW_ALL (None where it finds no bound state)."""
+    them (None where it finds no bound state)."""
     rho_max = _default_rho_max(v0, l, nodes)
     x = np.linspace(math.log(1e-8), math.log(rho_max), 8192)
     rho2 = np.exp(x) ** 2
@@ -290,7 +314,7 @@ def _sweep(v0, l, nodes):
     hx, w0 = x[1] - x[0], math.exp((l + 0.5) * (x[0] - x[1]))
     energies = [float(energy) for energy in sorted([*e, *(0.5 * (e[1:] + e[:-1]))])]
     wanted = {}
-    for energy in [*energies, _BELOW_ALL]:
+    for energy in energies:
         try:
             wanted[energy] = _reference_match_defect(rho2, veff, energy, hx, w0)
         except NoBoundState:
@@ -298,90 +322,74 @@ def _sweep(v0, l, nodes):
     return (rho2, veff, hx, w0), energies, wanted
 
 
-class TestKernelsMatchReference:
-    """The solver's matching loop and mesh match their plain references bit for bit."""
+def _reference_level(grid, a, b):
+    """The root of _reference_match_defect(*grid[:2], energy, *grid[2:]) in [a, b] by
+    regula falsi, halving the retained end's defect each step, to 1e-14 relative."""
+    fa, fb = (_reference_match_defect(*grid[:2], energy, *grid[2:])[0] for energy in (a, b))
+    assert fa * fb < 0.0
+    for _ in range(200):
+        if b - a <= 1e-14 * max(abs(a), abs(b)):
+            return 0.5 * (a + b)
+        c = min(max((a * fb - b * fa) / (fb - fa), a), b)
+        fc = _reference_match_defect(*grid[:2], c, *grid[2:])[0]
+        if fc * fb > 0.0:
+            b, fb, fa = c, fc, 0.5 * fa
+        else:
+            a, fa, fb = c, fc, 0.5 * fb
+    raise AssertionError(f"no reference level in [{a!r}, {b!r}]")
 
-    @pytest.mark.parametrize("v0, l, nodes, rescales", _SWEEP_CASES)
-    def test_match_defect(self, v0, l, nodes, rescales):
-        # on the wide 7-node grids of gamma = 1/2 and -3/2 the inward pass rescales at
-        # the lowest levels, whose early values then underflow: the nodes must be
-        # counted before that (gamma = 1/2 counts 5 at its ground level)
+
+class TestKernelsMatchReference:
+    """The solver's Numerov solve agrees with the plain shooting loop, and its mesh
+    with the plain mesh Hamiltonian."""
+
+    @pytest.mark.parametrize("v0, l, nodes", _SWEEP_CASES)
+    def test_defect_sign(self, v0, l, nodes):
+        # both defects have the sign of the Wronskian of the outward and inward
+        # solutions: halfway between mesh levels they agree up to one global sign
         (rho2, veff, hx, w0), energies, wanted = _sweep(v0, l, nodes)
-        rescaled = []
-        for energy in energies:
-            if (want := wanted[energy]) is None:
+        signs = []
+        for energy in energies[1::2]:
+            if wanted[energy] is None:
                 with pytest.raises(NoBoundState):
                     potentials._match_defect(rho2, veff, energy, hx, w0)
                 continue
-            defect, w, nd = potentials._match_defect(rho2, veff, energy, hx, w0)
-            assert defect == want[0] and nd == want[2], energy
-            assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
-            rescaled.append(want[3])
-        assert len(rescaled) >= 8 and any(rescaled) == rescales
+            defect = potentials._match_defect(rho2, veff, energy, hx, w0)[0]
+            signs.append(math.copysign(1.0, defect) * math.copysign(1.0, wanted[energy][0]))
+        assert len(signs) >= 6 and set(signs) == {-1.0}
 
-    @pytest.mark.parametrize("v0, l, nodes, rescales", _SWEEP_CASES)
-    def test_match_defect_with_memo(self, v0, l, nodes, rescales):
-        # one memo carried through each order of the same energies: every shot that
-        # reuses the previous outward prefix still matches the plain loop bit for bit
-        (rho2, veff, hx, w0), energies, wanted = _sweep(v0, l, nodes)
-        turning = [np.nonzero(np.diff(np.signbit(potentials._log_grid_w(rho2, veff, e))))[0][-1]
-                   for e in energies]
-        assert turning == sorted(turning) and turning[0] < turning[-1]
-        # up to the top level, then an energy below the potential everywhere, then down
-        up_down = [*energies[::2], _BELOW_ALL, *energies[-2::-3]]
-        shuffled = [energies[i] for i in np.random.default_rng(19).permutation(len(energies))]
-        for order in (energies, energies[::-1], shuffled, up_down):
-            memo = {}
-            for energy in order:
-                if (want := wanted[energy]) is None:
-                    with pytest.raises(NoBoundState):
-                        potentials._match_defect(rho2, veff, energy, hx, w0, memo)
-                    continue
-                defect, w, nd = potentials._match_defect(rho2, veff, energy, hx, w0, memo)
-                assert defect == want[0] and nd == want[2], energy
-                assert (w is None and want[1] is None) or np.array_equal(w, want[1]), energy
-        assert any(want and want[3] for want in wanted.values()) == rescales
+    @pytest.mark.parametrize("v0, l, nodes", _SWEEP_CASES)
+    def test_node_count(self, v0, l, nodes):
+        # at the k-th mesh level the solve counts k nodes.  On the wide 7-node grids of
+        # gamma = 1/2 and -3/2, f < 0 far out at the two lowest levels, where the plain
+        # loop's growing inward pass counts 5 and 3, and 513 and 44 nodes; the solve's
+        # tail underflows there instead
+        (rho2, veff, hx, w0), energies, _ = _sweep(v0, l, nodes)
+        counts = [potentials._match_defect(rho2, veff, energy, hx, w0)[2] for energy in energies[::2]]
+        assert counts == list(range(8))
 
-    @pytest.mark.parametrize("v0", [power_law(2), LOG])
-    def test_outward_prefix_reused(self, monkeypatch, v0):
-        # each shot steps n - 1 rows without reuse; sharing the outward prefix
-        # with the previous shot on the grid saves about half of them
-        rows, shots, sizes = 0, 0, set()
-        numerov_rows, match_defect = potentials._numerov_rows, potentials._match_defect
+    @pytest.mark.parametrize("v0, l, nodes", _SWEEP_CASES)
+    def test_levels(self, v0, l, nodes):
+        # on the solver's own grid its level is the plain loop's root
+        st = solve_bound(v0, l, nodes)
+        rho2 = st.grid**2
+        grid = (rho2, l * (l + 1) / rho2 + 2.0 * v0.v(st.grid), st.hx, math.exp(-(l + 0.5) * st.hx))
+        a, b = sorted([st.energy * (1.0 - 1e-8), st.energy * (1.0 + 1e-8)])
+        assert st.energy == pytest.approx(_reference_level(grid, a, b), rel=1e-10, abs=0)
 
-        def counted_rows(*args):
-            nonlocal rows
-            for row in numerov_rows(*args):
-                rows += 1
-                yield row
-
-        def counted_shot(rho2, *args):
-            nonlocal shots
-            shots += 1
-            sizes.add(len(rho2))
-            return match_defect(rho2, *args)
-
-        monkeypatch.setattr(potentials, "_numerov_rows", counted_rows)
-        monkeypatch.setattr(potentials, "_match_defect", counted_shot)
-        solve_bound(v0, 0, 0)
-        (n,) = sizes
-        assert rows < 0.6 * shots * (n - 1)
-
-    def test_no_reuse_across_grid_retries(self, monkeypatch):
+    def test_grid_retries_until_the_tail_dies(self, monkeypatch):
         # rho_max = 12 leaves the Coulomb 1s tail alive, so the solver extends its
-        # grid twice; each grid starts with an empty memo, and the state is the one
-        # shots without any reuse give
+        # grid twice, and the third grid gives the exact level
         match_defect, sizes = potentials._match_defect, []
 
-        def fresh_shot(rho2, veff, energy, hx, w0, memo=None):
+        def counted_shot(rho2, *args):
             sizes.append(len(rho2))
-            return match_defect(rho2, veff, energy, hx, w0)
+            return match_defect(rho2, *args)
 
-        reused = solve_bound(COULOMB, 0, 0, rho_max=12.0)
-        monkeypatch.setattr(potentials, "_match_defect", fresh_shot)
-        fresh = solve_bound(COULOMB, 0, 0, rho_max=12.0)
+        monkeypatch.setattr(potentials, "_match_defect", counted_shot)
+        st = solve_bound(COULOMB, 0, 0, rho_max=12.0)
         assert len(set(sizes)) == 3
-        assert reused.energy == fresh.energy and np.array_equal(reused.values, fresh.values)
+        assert st.energy == pytest.approx(-0.5, rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [60, 120, 180, 240])
     def test_mesh_hamiltonian(self, n):
