@@ -18,13 +18,15 @@ method).  The resulting matching defect is bracketed around the level of a
 Lagrange-Laguerre mesh spectrum, which fixes the node count, and the shooter's
 own eigenvalue is returned.  The log grid resolves the rho**(l+1) origin
 behaviour and one policy covers every potential kind.  Negative-order sum
-rules are solved on the same grid by the same tridiagonal kernel.
+rules are solved on the same grid by the same tridiagonal kernel, and every
+integral over the grid (norms, expectations, overlaps, Dalgarno-Lewis sums)
+is one composite Simpson rule at the grid's constant log step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -34,7 +36,6 @@ from numpy.polynomial.polynomial import polyfit
 
 from .errors import (NoBoundState, NotConverged, PotentialOverflow, PotentialUnresolved, QuadratureNotConverged,
                      SingularDerivative)
-from .integrate import simpson
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,30 @@ def power_law(gamma) -> Potential:
     return Potential("power", Fraction(gamma))
 
 
+def _log_step(rho: np.ndarray) -> float:
+    """The constant step of x = log rho on a log-uniform grid."""
+    return math.log(rho[-1] / rho[0]) / (len(rho) - 1)
+
+
+def _log_simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule for samples y at the constant step h.  An even count takes
+    Simpson's rule over the first n - 1 samples plus Cartwright's last-interval term
+    h/12 (5 y[-1] + 8 y[-2] - y[-3]), scipy's correction at a constant step."""
+    m = len(y) - 1 + len(y) % 2   # the odd count the plain rule covers
+    total = h / 3.0 * (y[0] + y[m - 1] + 4.0 * y[1:m - 1:2].sum() + 2.0 * y[2:m - 1:2].sum())
+    if m < len(y):
+        total += h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+    return float(total)
+
+
 @dataclass
 class GridFunction:
-    """A radial function sampled on a strictly increasing rho grid.
+    """A radial function sampled on a log-uniform rho grid (x = log rho with the
+    constant step hx, derived from the grid's ends and length).
 
-    For solver output the grid is log-uniform (x = log rho with constant
-    step hx), values hold the reduced radial u, and energy/nodes describe
-    the eigenstate.  Ladder functions reuse the container with the seed
-    state's grid.
+    For solver output values hold the reduced radial u, and energy/nodes describe
+    the eigenstate.  Ladder functions reuse the container with the seed state's
+    grid.  Every integral over the grid is integral(), one Simpson rule in x.
     """
 
     grid: np.ndarray
@@ -133,10 +150,14 @@ class GridFunction:
     l: int
     energy: float = 0.0
     nodes: int = 0
-    hx: float = field(default=0.0, repr=False)
 
-    def x(self) -> np.ndarray:
-        return np.log(self.grid)
+    @property
+    def hx(self) -> float:
+        return _log_step(self.grid)
+
+    def integral(self, values: np.ndarray) -> float:
+        """int values drho = int values rho dx over the grid."""
+        return _log_simpson(values * self.grid, self.hx)
 
     def c_origin(self) -> float:
         """Leading origin coefficient C_l with u -> C_l rho^(l+1).
@@ -324,8 +345,8 @@ def _dalgarno_lewis_sums(rho, u, v0: Potential, energy: float, chans, orders) ->
     """negative_sum_rules on one log-uniform grid: each rung is one _tridiagonal_solve
     through the Numerov rows of the interior points; a zero or non-finite pivot raises
     QuadratureNotConverged naming the rung."""
-    x = np.log(rho)
-    h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
+    hx = _log_step(rho)
+    h2 = hx * hx / 12.0
     root, rho2 = np.sqrt(rho), rho * rho
     sums = dict.fromkeys(orders, 0.0)
     for chan in chans:
@@ -343,7 +364,7 @@ def _dalgarno_lewis_sums(rho, u, v0: Potential, energy: float, chans, orders) ->
             f.append(root * np.concatenate(([0.0], phi, [0.0])))   # phi = 0 at both ends
         for J in orders:
             k = -J // 2
-            sums[J] += float(chan.weight) * float(simpson(f[k] * f[-J - k] * rho, x=x))
+            sums[J] += float(chan.weight) * _log_simpson(f[k] * f[-J - k] * rho, hx)
     return sums
 
 
@@ -502,33 +523,30 @@ def solve_bound(
             raise NotConverged("eigenvalue refinement did not converge")
 
         u = w * np.sqrt(rho)
-        norm2 = simpson(u * u * rho, x=x)
-        u /= math.sqrt(norm2)
+        u /= math.sqrt(_log_simpson(u * u * rho, _log_step(rho)))
         lead = u[np.argmax(np.abs(u[:80]))]
         if lead < 0:
             u = -u
         if abs(u[-1]) < 1e-10 * np.max(np.abs(u)):
             if nd != nodes:
                 raise NotConverged(f"converged to {nd} nodes instead of {nodes}")
-            return GridFunction(grid=rho, values=u, l=l, energy=energy, nodes=nd, hx=hx)
+            return GridFunction(grid=rho, values=u, l=l, energy=energy, nodes=nd)
         rho_max *= 1.6  # tail not yet dead: extend and retry
         n_points = int(n_points * 1.3)
     raise NotConverged("grid extension retries exhausted")
 
 
 def grid_expectation(state: GridFunction, weight: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Simpson quadrature of int u^2 weight(rho) drho on the state's grid."""
-    rho = state.grid
-    integrand = state.values**2 * weight(rho) * rho
-    return float(simpson(integrand, x=state.x()))
+    """int u^2 weight(rho) drho on the state's grid."""
+    return state.integral(state.values**2 * weight(state.grid))
 
 
 def grid_overlap(a: GridFunction, b: GridFunction) -> float:
     """int a b drho for two functions sampled on the same grid."""
-    if a.grid.shape != b.grid.shape or abs(a.grid[0] - b.grid[0]) > 1e-12:
+    if (a.grid.shape != b.grid.shape or abs(a.grid[0] - b.grid[0]) > 1e-12
+            or abs(a.hx - b.hx) > 1e-12 * a.hx):
         raise ValueError("grid overlap requires a shared grid")
-    rho = a.grid
-    return float(simpson(a.values * b.values * rho, x=np.log(rho)))
+    return a.integral(a.values * b.values)
 
 
 def _derivative_x(values: np.ndarray, hx: float) -> np.ndarray:
@@ -581,4 +599,4 @@ def grid_f_ladder(state: GridFunction, v0: Potential, channel, j: int) -> GridFu
     vals[:2] = 0.0
     vals[-2:] = 0.0
     return GridFunction(grid=rho, values=vals, l=channel.target_l, energy=state.energy,
-                        nodes=state.nodes, hx=state.hx)
+                        nodes=state.nodes)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from . import exactalg as xa
 from . import potentials as pots
 from .errors import (
@@ -307,11 +305,8 @@ def kramers_general_grid(state: GridFunction, v0: Potential, choice: FChoice) ->
 
     if choice is FChoice.R_SQUARED:
         f = state.values**2
-        f3 = pots.derivative_rho(state, f, 3)
-        integrand = state.values**2 * f3
-        lhs = float(np.trapezoid(integrand * rho, x=state.x()))
         # remaining identity terms vanish through the equation of motion
-        return lhs
+        return state.integral(f * pots.derivative_rho(state, f, 3))
 
     if choice in _POWERS:
         e = _POWERS[choice]

@@ -439,7 +439,8 @@ class TestPotentialCommand:
         assert data["force_rule"] == pytest.approx(data["force_rule_expected"], abs=1e-5)
 
     def test_no_overflow_warning_in_node_count(self):
-        # the sweep's node test must not overflow on neighbours of ~1e250
+        # the node count multiplies neighbouring solution values, a product that may
+        # overflow: with RuntimeWarnings as errors this level still solves and prints it
         env = dict(os.environ)
         src = str(Path(dipolesum.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -11,7 +11,6 @@ import pytest
 
 from dipolesum.errors import NoBoundState, NotConverged, QuadratureNotConverged, SingularDerivative
 from dipolesum.hydrogen import bound_state, channel, expectation_rho_power
-from dipolesum.integrate import simpson
 from dipolesum import potentials
 from dipolesum.cli import main
 from dipolesum.ladder import family
@@ -20,6 +19,7 @@ from dipolesum.potentials import (
     LOG,
     MESH_SIZES,
     _default_rho_max,
+    derivative_rho,
     grid_expectation,
     grid_f_ladder,
     grid_overlap,
@@ -532,6 +532,7 @@ class TestNegativeSumRules:
 def _reference_dalgarno_lewis_sums(rho, u, v0, energy, chans, orders):
     """The plain Dalgarno-Lewis route the array kernel replaces: each rung is one Thomas
     sweep, without pivoting, over the same Numerov rows, point by point."""
+    from scipy.integrate import simpson   # a test dependency only
     x = np.log(rho)
     h2 = ((x[-1] - x[0]) / (len(x) - 1)) ** 2 / 12.0
     root, rho2 = np.sqrt(rho), rho * rho
@@ -695,7 +696,6 @@ class TestGridLadder:
         ch = channel("plus", 0)
         f0 = grid_f_ladder(oscillator, power_law(2), ch, 0)
         f1 = grid_f_ladder(oscillator, power_law(2), ch, 1)
-        s1 = float(ch.weight) * grid_overlap(f0, f1) * 3.0  # alpha^2 * 3 = 1 at l=0
         assert float(ch.weight) * grid_overlap(f0, f1) == pytest.approx(1.0, abs=1e-6)
 
     def test_second_order_oscillator(self, oscillator):
@@ -719,3 +719,22 @@ class TestGridLadder:
         st = solve_bound(COULOMB, 0, 0)
         with pytest.raises(SingularDerivative):
             grid_f_ladder(st, COULOMB, channel("plus", 0), 2)
+
+
+class TestLogGrid:
+    """A GridFunction derives its step from its grid, so hand-built states need none."""
+
+    def test_hand_built_state_has_the_grid_step(self):
+        state = _exact_1s(37.0)
+        assert state.hx == pytest.approx(math.log(37.0 / 1e-8) / 8191, rel=1e-14)
+        # d/drho of u = 2 rho e^-rho, by five-point differences in x
+        want = 2.0 * (1.0 - state.grid) * np.exp(-state.grid)
+        assert derivative_rho(state, state.values)[2:-2] == pytest.approx(want[2:-2], rel=1e-6, abs=1e-12)
+
+    def test_overlap_rejects_a_grid_of_other_extent(self, oscillator):
+        # the same length and first point, but twice the extent
+        rho = oscillator.grid
+        stretched = np.exp(np.linspace(math.log(rho[0]), math.log(2.0 * rho[-1]), len(rho)))
+        other = dataclasses.replace(oscillator, grid=stretched)
+        with pytest.raises(ValueError, match="shared grid"):
+            grid_overlap(oscillator, other)

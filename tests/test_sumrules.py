@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dipolesum.errors import (
@@ -13,7 +14,8 @@ from dipolesum.errors import (
 )
 from dipolesum.hydrogen import bound_state, channel
 from dipolesum.ladder import family
-from dipolesum.potentials import COULOMB, LOG, grid_expectation, power_law, solve_bound
+from dipolesum.potentials import (COULOMB, LOG, GridFunction, _default_rho_max, grid_expectation, power_law,
+                                  solve_bound)
 from dipolesum.sumrules import (
     EinsteinInputs,
     FChoice,
@@ -176,6 +178,18 @@ class TestKramersGeneral:
         for n in range(1, 5):
             for l in range(n):
                 assert kramers_general(bound_state(n, l), COULOMB, FChoice.RHO) == 0
+
+    @pytest.mark.parametrize("nl, choices, tol", [
+        ((1, 0), [FChoice.RHO, FChoice.RHO2, FChoice.RHO3, FChoice.R_SQUARED], 1e-12),
+        ((2, 1), list(FChoice), 1e-8), ((3, 2), list(FChoice), 1e-8)])
+    def test_hand_built_grid_residuals(self, nl, choices, tol):
+        # exact states sampled on an 8192-point log grid from rho = 1e-8: the grid
+        # derivatives of f = u^2 use the step the grid implies
+        n, l = nl
+        rho = np.exp(np.linspace(math.log(1e-8), math.log(_default_rho_max(COULOMB, l, n - l - 1)), 8192))
+        st = GridFunction(grid=rho, values=bound_state(n, l).values(rho), l=l, energy=-0.5 / n**2)
+        for choice in choices:
+            assert abs(kramers_general(st, COULOMB, choice)) <= tol, choice
 
     @pytest.mark.parametrize("choice", list(FChoice))
     def test_oscillator_residuals(self, oscillator, choice):
