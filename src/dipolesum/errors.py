@@ -32,10 +32,6 @@ class NoPolynomialSolution(DipoleSumError):
     """The polynomial ansatz closes on an inconsistent linear system."""
 
 
-class NonPolynomialPotential(DipoleSumError):
-    """Operation requires a potential that maps polynomials to polynomials."""
-
-
 class ExponentFloorExceeded(DipoleSumError):
     """A constructed function is more singular than rho**-4 at the origin."""
 

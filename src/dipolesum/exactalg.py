@@ -3,7 +3,8 @@
 Every coefficient and rate is a Fraction, so equality of functions is literal
 equality of the representation.  The carrier type PolyExp covers hydrogenic
 bound states, their dipole ladder functions, and the inhomogeneous solutions
-needed for negative-order sums.
+needed for negative-order sums; the Hamiltonian is the Coulomb one, whose
+-1/rho keeps every image of p(rho) exp(-a rho) in the same form.
 
 Irrational overall normalizations (1/sqrt(8), 1/sqrt(24), ...) are never
 stored in coefficients; callers carry a separate squared factor norm2 and the
@@ -18,15 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import (
-    DivergentAtOrigin,
-    ExponentFloorExceeded,
-    NoPolynomialSolution,
-    NonPolynomialPotential,
-    RateMismatch,
-    ResonanceUnprojected,
-)
-from .potentials import Potential
+from .errors import (DivergentAtOrigin, ExponentFloorExceeded, NoPolynomialSolution, RateMismatch,
+                     ResonanceUnprojected)
 
 #: most singular admissible stored function: rho**-2 functions occur in the
 #: third ladder rung, their pairwise products reach rho**-4.
@@ -187,75 +181,56 @@ def overlap(f: PolyExp, g: PolyExp) -> Fraction:
     return _integral(terms, df * dg, f.rate + g.rate)
 
 
-def apply_h(f: PolyExp, l: int, ksq, v0: Potential) -> PolyExp:
-    """Image under the shifted radial Hamiltonian
+def apply_h(f: PolyExp, l: int, ksq) -> PolyExp:
+    """Image under the shifted Coulomb radial Hamiltonian
 
-        (-d^2/drho^2 + l(l+1)/rho^2 + 2 v0 + ksq) f
+        (-d^2/drho^2 + l(l+1)/rho^2 - 2/rho + ksq) f
 
-    exactly; one rung of the positive ladder.  Requires a potential whose
-    product with a Laurent polynomial stays polynomial, 2 v0 = c rho^k.  Term
-    by term rho^e maps to (l(l+1) - e(e-1)) rho^(e-2) + 2 a e rho^(e-1)
-    + (ksq - a^2) rho^e + c rho^(e+k); summed on f's cleared integers.
+    exactly; one rung of the positive ladder.  Term by term rho^e maps to
+    (l(l+1) - e(e-1)) rho^(e-2) + (2 a e - 2) rho^(e-1) + (ksq - a^2) rho^e;
+    summed on f's cleared integers.
     """
-    pshift = v0.polyexp_shift()
-    if pshift is None:
-        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
-    k, cpot = pshift
     a = f.rate
     gap = Fraction(ksq) - a * a
     terms, den = _cleared(f)
-    m = a.denominator * gap.denominator * cpot.denominator   # makes 2a, gap, cpot integers
-    two_a, gap_m, cpot_m = (int(x * m) for x in (2 * a, gap, cpot))
+    m = a.denominator * gap.denominator   # makes 2a and gap integers
+    two_a, gap_m = int(2 * a * m), int(gap * m)
     acc: dict[int, int] = {}
     for e, n in terms:
-        for r, x in ((e - 2, (l * (l + 1) - e * (e - 1)) * m), (e - 1, two_a * e),
-                     (e, gap_m), (e + k, cpot_m)):
+        for r, x in ((e - 2, (l * (l + 1) - e * (e - 1)) * m), (e - 1, two_a * e - 2 * m), (e, gap_m)):
             acc[r] = acc.get(r, 0) + n * x
     return _stored({r: Fraction(x, den * m) for r, x in acc.items()}, a)
 
 
-def solve_inhomogeneous(
-    rhs: PolyExp,
-    l: int,
-    ksq,
-    v0: Potential,
-    homogeneous: PolyExp | None = None,
-) -> PolyExp:
-    """Unique G with (h_l + ksq) G = rhs, regular at the origin and decaying.
+def solve_inhomogeneous(rhs: PolyExp, l: int, ksq, homogeneous: PolyExp | None = None) -> PolyExp:
+    """Unique G with (h_l + ksq) G = rhs, regular at the origin and decaying,
+    for the Coulomb h_l of apply_h.
 
     Undetermined coefficients over rho^(l+1..deg+2) exp(-a rho).  As ksq = a^2
     the image of rho^e (see apply_h) has no rho^e term, so column e leads at
-    row e + max(k, -1): the system is triangular and is back-substituted from
-    the top exponent down.  Rows no column leads must come out zero.  A column
-    whose leading coefficient vanishes (Coulomb: e = 1/a) is the direction of
-    a normalizable homogeneous solution; the caller supplies that solution,
-    the right-hand side must already be orthogonal to it, and the returned G
-    is fixed by <homogeneous|G> = 0.
+    row e - 1 with 2ae - 2: the system is triangular and is back-substituted
+    from the top exponent down.  Rows no column leads must come out zero.  The
+    column e = 1/a, whose leading coefficient vanishes, is the direction of a
+    normalizable homogeneous solution; the caller supplies that solution, the
+    right-hand side must already be orthogonal to it, and the returned G is
+    fixed by <homogeneous|G> = 0.
     """
     ksq = Fraction(ksq)
     a = rhs.rate
     if a * a != ksq:
-        raise NoPolynomialSolution(
-            f"rhs rate {a} is not the bound rate for ksq={ksq}"
-        )
-    pshift = v0.polyexp_shift()
-    if pshift is None:
-        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
+        raise NoPolynomialSolution(f"rhs rate {a} is not the bound rate for ksq={ksq}")
     if homogeneous is not None and overlap(homogeneous, rhs) != 0:
         raise ResonanceUnprojected("rhs has a component along the homogeneous solution")
     if rhs.is_zero():
         return PolyExp(terms=(), rate=a)
 
-    k, cpot = pshift
-    lead = max(k, -1)
     res, coeffs, free = dict(rhs.terms), {}, None
     for e in range(max(rhs.max_exponent() + 2, l + 1), l, -1):
-        img = {e - 2: l * (l + 1) - e * (e - 1), e - 1: 2 * a * e}
-        img[e + k] = img.get(e + k, 0) + cpot
-        if img[e + lead] == 0:
+        img = {e - 2: l * (l + 1) - e * (e - 1), e - 1: 2 * a * e - 2}
+        if img[e - 1] == 0:
             free = e
             continue
-        c = res.get(e + lead, 0) / img[e + lead]
+        c = res.get(e - 1, 0) / img[e - 1]
         if c:
             coeffs[e] = c
             for r, x in img.items():
@@ -270,7 +245,6 @@ def solve_inhomogeneous(
         # the free direction is the homogeneous solution itself
         along = overlap(homogeneous, sol) / overlap(homogeneous, homogeneous)
         sol = sub(sol, scale(homogeneous, along))
-    if not sub(apply_h(sol, l, ksq, v0), rhs).is_zero():
+    if not sub(apply_h(sol, l, ksq), rhs).is_zero():
         raise NoPolynomialSolution("verification failed: (h + ksq) G != rhs")
     return sol
-

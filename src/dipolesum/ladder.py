@@ -19,7 +19,6 @@ from . import exactalg as xa
 from .errors import InvalidOrder
 from .exactalg import PolyExp
 from .hydrogen import BoundState, Channel, bound_state, channel
-from .potentials import COULOMB
 
 # deepest positive rung: F_5 of a low-l state falls below exactalg's rho^-4 floor
 MAX_F_RUNG = 4
@@ -71,8 +70,7 @@ class LadderFamily:
             minus = self.channel.direction == "minus"
             self.positive.append(self._project(self.seed_raw) if minus else self.seed_raw)
         while len(self.positive) <= max_j:
-            self.positive.append(xa.apply_h(self.positive[-1], self.channel.target_l,
-                                            self.state.ksq, COULOMB))
+            self.positive.append(xa.apply_h(self.positive[-1], self.channel.target_l, self.state.ksq))
         return self
 
     def grow_g(self, max_j: int) -> LadderFamily:
@@ -82,8 +80,7 @@ class LadderFamily:
         while len(self.negative) <= max_j:
             rhs = self._project(self.negative[-1])
             self.negative.append(xa.solve_inhomogeneous(
-                rhs, self.channel.target_l, self.state.ksq, COULOMB,
-                homogeneous=self.homogeneous))
+                rhs, self.channel.target_l, self.state.ksq, homogeneous=self.homogeneous))
         return self
 
 

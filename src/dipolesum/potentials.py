@@ -102,14 +102,6 @@ class Potential:
         and g < 0 have a continuum above 0."""
         return self.kind == "log" or (self.kind == "power" and self.gamma > 0)
 
-    def polyexp_shift(self) -> tuple[int, Fraction] | None:
-        """(k, c) such that 2*v0*f = c * rho^k * f stays polynomial, else None."""
-        if self.kind == "coulomb":
-            return -1, Fraction(-2)
-        if self.kind == "power" and self.gamma.denominator == 1 and self.gamma >= -1:
-            return int(self.gamma), 2 / self.gamma
-        return None
-
 
 COULOMB = Potential("coulomb")
 LOG = Potential("log")

@@ -208,7 +208,8 @@ _POWERS = {FChoice.CONST: 0, FChoice.RHO: 1, FChoice.RHO2: 2, FChoice.RHO3: 3}
 
 def _origin_data(choice: FChoice, v0: Potential) -> tuple[Fraction | None, Fraction | None]:
     """(b, q) with f -> b rho^q at the origin, for every choice but R_SQUARED;
-    (None, None) if not a power.  For the Coulomb potential f is exactly b rho^q."""
+    (None, None) for f = ln rho.  For the Coulomb potential f is exactly b rho^q
+    with integer q."""
     if choice in _POWERS:
         return Fraction(1), Fraction(_POWERS[choice])
     origin = v0.origin_power()
@@ -226,11 +227,37 @@ def _origin_data(choice: FChoice, v0: Potential) -> tuple[Fraction | None, Fract
     return b * q * (q - 1), q - 1  # rho * v0''
 
 
-def _laurent_diff(f: dict[int, Fraction], order: int = 1) -> dict[int, Fraction]:
-    out = dict(f)
-    for _ in range(order):
-        out = {e - 1: c * e for e, c in out.items() if e != 0}
-    return out
+def _existing_origin(choice: FChoice, v0: Potential, l: int) -> tuple[Fraction | None, Fraction | None]:
+    """_origin_data of a choice whose <W> exists; DivergentExpectation otherwise.
+
+    For f -> b rho^q the rho^(q-3) term of W (_lead_coefficient) leads on every
+    potential, as the v0 terms go as rho^(q+p-1) with v0 ~ rho^p, p > -2.  So
+    against u^2 ~ C_l^2 rho^(2l+2) <W> exists iff q >= -2l; at q = -2l that
+    coefficient vanishes and the contact term takes its place.  f = ln rho
+    needs l >= 1, and f = u^2 (R_SQUARED, no origin data) always exists.
+    """
+    if choice is FChoice.R_SQUARED:
+        return None, None
+    b, q = _origin_data(choice, v0)
+    if q is None:
+        if l == 0:
+            raise DivergentExpectation("<rho^-3> diverges for l = 0")
+    elif q < -2 * l:
+        raise DivergentExpectation(f"<rho^{q - 3}> diverges for l = {l}")
+    return b, q
+
+
+def _lead_coefficient(b: Fraction, q: Fraction, l: int) -> Fraction:
+    """Coefficient of rho^(q-3) in W for f = b rho^q, the same on every
+    potential: it comes from -f'''/4 + l(l+1) (f'/rho^2 - f/rho^3) alone."""
+    return b * (q - 1) * (2 * l + 2 - q) * (2 * l + q) / 4
+
+
+def _coulomb_weight(b: Fraction, q: int, l: int, ksq: Fraction) -> dict[int, Fraction]:
+    """W for f = b rho^q and v0 = -1/rho as {power: coefficient}, zero terms
+    dropped: b ksq q rho^(q-1) + b (1 - 2q) rho^(q-2) + lead rho^(q-3)."""
+    weight = {q - 1: b * ksq * q, q - 2: b * (1 - 2 * q), q - 3: _lead_coefficient(b, q, l)}
+    return {e: c for e, c in weight.items() if c}
 
 
 def kramers_general_exact(state: BoundState, choice: FChoice) -> Fraction:
@@ -240,68 +267,39 @@ def kramers_general_exact(state: BoundState, choice: FChoice) -> Fraction:
             = (b/2) C_l^2 (2l+1)^2 delta_{q, -2l}
 
     for an exact Coulomb state.  Except for R_SQUARED, f is exactly the
-    origin power b rho^q of _origin_data.  Exactly zero whenever the combined
-    weight is integrable; DivergentExpectation otherwise.
+    origin power b rho^q of _origin_data and W is _coulomb_weight.  Exactly
+    zero whenever <W> exists (_existing_origin); DivergentExpectation otherwise.
     """
-    lam = Fraction(state.l * (state.l + 1))
-    ksq = state.ksq
-
+    l = state.l
+    b, q = _existing_origin(choice, pots.COULOMB, l)
     if choice is FChoice.R_SQUARED:
-        # PolyExp weight: assemble W(f) with f = R^2 (norm2^2 carried outside)
+        # W(f) with f = u^2 in the state's scaling (norm2^2 carried outside)
         f = xa.mul(state.radial, state.radial)
         f1 = xa.differentiate(f)
         f3 = xa.differentiate(xa.differentiate(f1))
-        w = xa.add(xa.scale(f3, Fraction(-1, 4)), xa.scale(f1, ksq))
-        w = xa.add(w, xa.scale(xa.shift(f, -1 - 1), Fraction(1)))  # v0' f = rho^-2 f
-        w = xa.add(w, xa.scale(xa.shift(f1, -1), Fraction(-2)))    # 2 v0 f' = -2 f'/rho
-        if lam:
-            w = xa.add(w, xa.scale(xa.sub(xa.shift(f1, -2), xa.shift(f, -3)), lam))
-        usq = xa.mul(state.radial, state.radial)
-        if w.min_exponent() is not None and usq.min_exponent() + w.min_exponent() < 0:
-            raise DivergentExpectation("weight not integrable against u^2")
-        lhs = xa.overlap(usq, w) * state.norm2 * state.norm2
-        return lhs  # q = 2l+2 never equals -2l
+        w = xa.add(xa.scale(f3, Fraction(-1, 4)), xa.scale(f1, state.ksq))
+        w = xa.add(w, xa.sub(xa.shift(f, -2), xa.scale(xa.shift(f1, -1), 2)))  # v0' f + 2 v0 f'
+        if l:
+            w = xa.add(w, xa.scale(xa.sub(xa.shift(f1, -2), xa.shift(f, -3)), l * (l + 1)))
+        return xa.overlap(f, w) * state.norm2 * state.norm2  # q = 2l+2 never equals -2l
 
-    b, q = _origin_data(choice, pots.COULOMB)
-    f = {int(q): b}
-    f1 = _laurent_diff(f)
-    f3 = _laurent_diff(f, 3)
-    weight: dict[int, Fraction] = {}
-
-    def acc(src: dict[int, Fraction], shift_by: int, factor: Fraction) -> None:
-        for e, c in src.items():
-            val = c * factor
-            if val:
-                weight[e + shift_by] = weight.get(e + shift_by, Fraction(0)) + val
-
-    acc(f3, 0, Fraction(-1, 4))
-    acc(f1, 0, ksq)
-    acc(f, -2, Fraction(1))    # v0' f with v0' = +rho^-2
-    acc(f1, -1, Fraction(-2))  # 2 v0 f'
-    if lam:
-        acc(f1, -2, lam)
-        acc(f, -3, -lam)
-    weight = {e: c for e, c in weight.items() if c != 0}
-
-    lhs = Fraction(0)
-    min_required = -(2 * state.l + 2)
-    for e, c in weight.items():
-        if e < min_required:
-            raise DivergentExpectation(f"<rho^{e}> diverges for l = {state.l}")
-        lhs += c * expectation_rho_power(state, e)
-
+    lhs = sum(c * expectation_rho_power(state, e)
+              for e, c in _coulomb_weight(b, int(q), l, state.ksq).items())
     rhs = Fraction(0)
-    if q == -2 * state.l:
-        rhs = Fraction(b, 2) * state.c_origin_sq() * (2 * state.l + 1) ** 2
+    if q == -2 * l:
+        rhs = b / 2 * state.c_origin_sq() * (2 * l + 1) ** 2
     return lhs - rhs
 
 
 def kramers_general_grid(state: GridFunction, v0: Potential, choice: FChoice) -> float:
     """Same residual for a numeric state; derivatives of f analytic except for
-    the probability-density choice, which uses grid derivatives."""
+    the probability-density choice, which uses grid derivatives.  For q > -2l
+    the leading part of int_0^rho_min u^2 W, below the grid, is added
+    analytically: the rho^(q-3) term against C_l^2 rho^(2l+2)."""
     rho = state.grid
-    lam = state.l * (state.l + 1)
+    l = state.l
     ksq = -2.0 * state.energy
+    b, q = _existing_origin(choice, v0, l)
 
     if choice is FChoice.R_SQUARED:
         f = state.values**2
@@ -323,15 +321,16 @@ def kramers_general_grid(state: GridFunction, v0: Potential, choice: FChoice) ->
         f3 = 3.0 * v0.dv(rho, 4) + rho * v0.dv(rho, 5)
 
     w = -0.25 * f3 + ksq * f1 + v0.dv(rho, 1) * f + 2.0 * v0.v(rho) * f1
-    if lam:
-        w = w + lam * (f1 / rho**2 - f / rho**3)
+    if l:
+        w = w + l * (l + 1) * (f1 / rho**2 - f / rho**3)
     lhs = grid_expectation(state, lambda r: w)
 
-    b, q = _origin_data(choice, v0)
-    rhs = 0.0
-    if q is not None and q == -2 * state.l:
-        rhs = float(b) / 2.0 * state.c_origin() ** 2 * (2 * state.l + 1) ** 2
-    return lhs - rhs
+    if q == -2 * l:
+        return lhs - float(b) / 2.0 * state.c_origin() ** 2 * (2 * l + 1) ** 2
+    if q is None or not (lead := _lead_coefficient(b, q, l)):
+        return lhs
+    s = float(2 * l + q)
+    return lhs + float(lead) * state.c_origin() ** 2 * float(rho[0]) ** s / s
 
 
 def kramers_general(state, v0: Potential, choice: FChoice):
@@ -343,19 +342,18 @@ def kramers_general(state, v0: Potential, choice: FChoice):
 
 
 def kramers_recurrence(state: BoundState, J: int) -> Fraction:
-    """Residual of the three-term recurrence among Coulomb <rho^J> moments:
+    """Residual of the three-term recurrence among Coulomb <rho^J> moments,
 
         (J+1)/m^2 <rho^J> - (2J+1) <rho^(J-1)>
-            + (J/4)(2l+1+J)(2l+1-J) <rho^(J-2)> = 0,   J >= -2l.
+            + (J/4)(2l+1+J)(2l+1-J) <rho^(J-2)> = 0,   J >= -2l:
+
+    the f = rho^(J+1) member of the moment identity, its _coulomb_weight
+    summed against the exact moments.
     """
     if J < -2 * state.l:
         raise OutOfValidityRange(f"recurrence requires J >= {-2 * state.l}")
-    m = state.n
-    t1 = Fraction(J + 1, m * m) * expectation_rho_power(state, J)
-    t2 = (2 * J + 1) * expectation_rho_power(state, J - 1)
-    t3 = Fraction(J, 4) * (2 * state.l + 1 + J) * (2 * state.l + 1 - J) \
-        * expectation_rho_power(state, J - 2)
-    return t1 - t2 + t3
+    return sum(c * expectation_rho_power(state, e)
+               for e, c in _coulomb_weight(Fraction(1), J + 1, state.l, state.ksq).items())
 
 
 # ---------------------------------------------------------------------------

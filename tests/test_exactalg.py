@@ -12,12 +12,10 @@ from dipolesum.errors import (
     DivergentAtOrigin,
     ExponentFloorExceeded,
     NoPolynomialSolution,
-    NonPolynomialPotential,
     RateMismatch,
     ResonanceUnprojected,
 )
 from dipolesum.hydrogen import bound_state
-from dipolesum.potentials import COULOMB, LOG, power_law
 
 
 def pe(coeffs, rate):
@@ -54,26 +52,14 @@ class TestDifferentiate:
 class TestApplyH:
     def test_ground_ladder_first_rung(self):
         f = pe({2: 2}, 1)
-        assert xa.apply_h(f, 1, 1, COULOMB) == pe({1: 4}, 1)
+        assert xa.apply_h(f, 1, 1) == pe({1: 4}, 1)
 
     def test_ground_ladder_second_rung(self):
-        assert xa.apply_h(pe({1: 4}, 1), 1, 1, COULOMB) == pe({-1: 8}, 1)
+        assert xa.apply_h(pe({1: 4}, 1), 1, 1) == pe({-1: 8}, 1)
 
     def test_excited_ladder_rung(self):
         f = pe({3: 1, 2: -2}, F(1, 2))
-        assert xa.apply_h(f, 1, F(1, 4), COULOMB) == pe({2: 1, 1: -4}, F(1, 2))
-
-    def test_log_potential_rejected(self):
-        with pytest.raises(NonPolynomialPotential):
-            xa.apply_h(pe({1: 1}, 1), 0, 1, LOG)
-
-    def test_fractional_power_rejected(self):
-        with pytest.raises(NonPolynomialPotential):
-            xa.apply_h(pe({1: 1}, 1), 0, 1, power_law(F(1, 2)))
-
-    def test_integer_power_law_acts_polynomially(self):
-        out = xa.apply_h(pe({1: 1}, 1), 0, 0, power_law(2))
-        assert out.coeff(3) == F(1)  # 2 v0 rho = rho^3
+        assert xa.apply_h(f, 1, F(1, 4)) == pe({2: 1, 1: -4}, F(1, 2))
 
 
 class TestOverlap:
@@ -96,29 +82,29 @@ class TestOverlap:
 class TestSolveInhomogeneous:
     def test_ground_state_first_inverse(self):
         rhs = pe({2: 2}, 1)
-        got = xa.solve_inhomogeneous(rhs, 1, 1, COULOMB)
+        got = xa.solve_inhomogeneous(rhs, 1, 1)
         assert got == pe({2: 1, 3: F(1, 2)}, 1)
 
     def test_degenerate_projected_inverse(self):
         rhs = pe({3: 1, 2: -5}, F(1, 2))
         hom = pe({2: 1}, F(1, 2))
-        got = xa.solve_inhomogeneous(rhs, 1, F(1, 4), COULOMB, homogeneous=hom)
+        got = xa.solve_inhomogeneous(rhs, 1, F(1, 4), homogeneous=hom)
         assert got == pe({4: F(1, 2), 2: -15}, F(1, 2))
 
     def test_resonance_unprojected(self):
         hom = pe({2: 1}, F(1, 2))
         with pytest.raises(ResonanceUnprojected):
-            xa.solve_inhomogeneous(hom, 1, F(1, 4), COULOMB, homogeneous=hom)
+            xa.solve_inhomogeneous(hom, 1, F(1, 4), homogeneous=hom)
 
     def test_missing_homogeneous_detected(self):
         # rhs orthogonal to the kernel but kernel direction left free
         rhs = pe({3: 1, 2: -5}, F(1, 2))
         with pytest.raises(NoPolynomialSolution):
-            xa.solve_inhomogeneous(rhs, 1, F(1, 4), COULOMB)
+            xa.solve_inhomogeneous(rhs, 1, F(1, 4))
 
     def test_wrong_rate_rejected(self):
         with pytest.raises(NoPolynomialSolution):
-            xa.solve_inhomogeneous(pe({2: 1}, 1), 1, F(1, 4), COULOMB)
+            xa.solve_inhomogeneous(pe({2: 1}, 1), 1, F(1, 4))
 
 
 class TestFloorAndLimits:
@@ -180,8 +166,8 @@ def test_solve_then_apply_roundtrip(rhs):
     hom = xa.polyexp({2: 1}, F(1, 2))
     coef = xa.overlap(hom, rhs) / xa.overlap(hom, hom)
     projected = xa.sub(rhs, xa.scale(hom, coef))
-    sol = xa.solve_inhomogeneous(projected, 1, F(1, 4), COULOMB, homogeneous=hom)
-    assert xa.sub(xa.apply_h(sol, 1, F(1, 4), COULOMB), projected).is_zero()
+    sol = xa.solve_inhomogeneous(projected, 1, F(1, 4), homogeneous=hom)
+    assert xa.sub(xa.apply_h(sol, 1, F(1, 4)), projected).is_zero()
     assert xa.overlap(hom, sol) == 0
 
 
@@ -204,11 +190,7 @@ def ref_overlap(f, g):
     return ref_integrate(xa.mul(f, g))
 
 
-def ref_apply_h(f, l, ksq, v0):
-    pshift = v0.polyexp_shift()
-    if pshift is None:
-        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
-    k, cpot = pshift
+def ref_apply_h(f, l, ksq):
     ksq, lam, a = F(ksq), F(l * (l + 1)), f.rate
     acc = {}
 
@@ -221,25 +203,23 @@ def ref_apply_h(f, l, ksq, v0):
         put(e - 1, 2 * a * e * c)
         put(e, -a * a * c)
         put(e - 2, lam * c)
-        put(e + k, cpot * c)
+        put(e - 1, -2 * c)  # 2 v0 = -2/rho
         put(e, ksq * c)
     return xa.polyexp(acc, a)
 
 
-def ref_solve(rhs, l, ksq, v0, homogeneous=None):
+def ref_solve(rhs, l, ksq, homogeneous=None):
     """Dense exact Gauss-Jordan elimination over the full ansatz."""
     ksq = F(ksq)
     a = rhs.rate
     if a * a != ksq:
         raise NoPolynomialSolution(f"rhs rate {a} is not the bound rate for ksq={ksq}")
-    if v0.polyexp_shift() is None:
-        raise NonPolynomialPotential(f"{v0.kind} potential does not act polynomially")
     if homogeneous is not None and ref_overlap(homogeneous, rhs) != 0:
         raise ResonanceUnprojected("rhs has a component along the homogeneous solution")
     if rhs.is_zero():
         return xa.PolyExp(terms=(), rate=a)
     basis = list(range(l + 1, max(rhs.max_exponent() + 2, l + 1) + 1))
-    images = [ref_apply_h(xa.polyexp({e: 1}, a), l, ksq, v0) for e in basis]
+    images = [ref_apply_h(xa.polyexp({e: 1}, a), l, ksq) for e in basis]
     row_exps = sorted({e for img in images for e, _ in img.terms} | {e for e, _ in rhs.terms})
     nrow, ncol = len(row_exps), len(basis)
     row_of = {e: i for i, e in enumerate(row_exps)}
@@ -271,7 +251,7 @@ def ref_solve(rhs, l, ksq, v0, homogeneous=None):
     if len(pivots) < ncol:
         raise NoPolynomialSolution("solution not unique")
     sol = xa.polyexp({basis[c]: mat[i][ncol] for i, c in pivots}, a)
-    if not xa.sub(ref_apply_h(sol, l, ksq, v0), rhs).is_zero():
+    if not xa.sub(ref_apply_h(sol, l, ksq), rhs).is_zero():
         raise NoPolynomialSolution("verification failed: (h + ksq) G != rhs")
     return sol
 
@@ -302,10 +282,9 @@ def test_overlap_and_integrate_match_reference(f, g):
 
 @settings(max_examples=100, deadline=None)
 @given(laurent(rates), st.integers(min_value=0, max_value=4),
-       st.sampled_from([F(0), F(1, 4), F(1), F(-2, 9)]),
-       st.sampled_from([COULOMB, power_law(1), power_law(2), power_law(-1), LOG]))
-def test_apply_h_matches_reference(f, l, ksq, v0):
-    assert outcome(xa.apply_h, f, l, ksq, v0) == outcome(ref_apply_h, f, l, ksq, v0)
+       st.sampled_from([F(0), F(1, 4), F(1), F(-2, 9)]))
+def test_apply_h_matches_reference(f, l, ksq):
+    assert outcome(xa.apply_h, f, l, ksq) == outcome(ref_apply_h, f, l, ksq)
 
 
 mostly = st.sampled_from([True, True, True, False])
@@ -333,22 +312,5 @@ def test_coulomb_solve_matches_dense_reference(n, l, raw, low, right_rate, mode)
             and rhs.min_exponent() > -l - 2:
         rhs = xa.sub(rhs, xa.scale(hom, ref_overlap(hom, rhs) / ref_overlap(hom, hom)))
     kw = {"homogeneous": hom} if supply else {}
-    got = outcome(xa.solve_inhomogeneous, rhs, l, F(1, n * n), COULOMB, **kw)
-    assert got == outcome(ref_solve, rhs, l, F(1, n * n), COULOMB, **kw)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([1, 2, -1]), st.integers(min_value=0, max_value=4), rates,
-       laurent(st.just(F(1)), lo=-3, hi=6), mostly)
-def test_power_law_solve_matches_dense_reference(gamma, l, rate, raw, right_rate):
-    rhs = xa.PolyExp(xa.shift(raw, l + 1).terms, rate)
-    ksq = rate * rate if right_rate else rate * rate + 1
-    got = outcome(xa.solve_inhomogeneous, rhs, l, ksq, power_law(gamma))
-    assert got == outcome(ref_solve, rhs, l, ksq, power_law(gamma))
-
-
-def test_power_law_solve_images_back():
-    # gamma = 1 leads at rho^(e+1); a right-hand side built as an image is solved
-    want = pe({2: 3, 4: -1}, F(1, 2))
-    rhs = xa.apply_h(want, 1, F(1, 4), power_law(1))
-    assert xa.solve_inhomogeneous(rhs, 1, F(1, 4), power_law(1)) == want
+    got = outcome(xa.solve_inhomogeneous, rhs, l, F(1, n * n), **kw)
+    assert got == outcome(ref_solve, rhs, l, F(1, n * n), **kw)

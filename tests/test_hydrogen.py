@@ -25,7 +25,6 @@ from dipolesum.hydrogen import (
     z2_1s_to_np,
 )
 from dipolesum.oracle import _Channel
-from dipolesum.potentials import COULOMB
 from polyexp_helpers import normed_equal
 
 
@@ -63,7 +62,7 @@ class TestBoundState:
     def test_eigen_and_norm_to_n30(self, n):
         for l in range(n):
             s = bound_state(n, l)
-            assert xa.apply_h(s.radial, l, s.ksq, COULOMB).is_zero()
+            assert xa.apply_h(s.radial, l, s.ksq).is_zero()
             assert xa.overlap(s.radial, s.radial) * s.norm2 == 1
             assert s.radial.min_exponent() == l + 1
 

@@ -76,7 +76,7 @@ class TestNegativeLadder:
         chan = channel(direction, l)
         fam = family(n, l, direction).grow_g(4)
         for j in range(4):
-            image = xa.apply_h(fam.negative[j + 1], chan.target_l, state.ksq, COULOMB)
+            image = xa.apply_h(fam.negative[j + 1], chan.target_l, state.ksq)
             rhs = fam.negative[j]
             if fam.homogeneous is not None:
                 coeff = xa.overlap(fam.homogeneous, rhs) * fam.hom_norm2

@@ -206,6 +206,50 @@ class TestKramersGeneral:
     def test_probability_density_choice_numeric(self, oscillator):
         assert abs(kramers_general(oscillator, power_law(2), FChoice.R_SQUARED)) < 1e-6
 
+    @pytest.mark.parametrize("nl", EXACT_STATES)
+    def test_grid_route_diverges_with_exact_route(self, nl):
+        # one origin rule for both routes: the hand-built grid state raises, with
+        # the same message, exactly where the exact state does
+        n, l = nl
+        rho = np.exp(np.linspace(math.log(1e-8), math.log(_default_rho_max(COULOMB, l, n - l - 1)), 8192))
+        grid = GridFunction(grid=rho, values=bound_state(n, l).values(rho), l=l, energy=-0.5 / n**2)
+
+        def divergence(st, choice):
+            try:
+                kramers_general(st, COULOMB, choice)
+            except DivergentExpectation as exc:
+                return str(exc)
+            return None
+
+        for choice in FChoice:
+            want = divergence(bound_state(n, l), choice)
+            assert (want is not None) == (choice in self.DIVERGENT[nl])
+            assert divergence(grid, choice) == want, choice
+
+    ORIGIN_SINGULAR = [FChoice.V0, FChoice.V0_PRIME, FChoice.RHO_V0_DOUBLE_PRIME]
+
+    @pytest.mark.parametrize("v0, divergent_at_l0", [
+        (LOG, ORIGIN_SINGULAR),
+        (power_law(F(1, 2)), ORIGIN_SINGULAR[1:]),
+        (power_law(F(-1, 2)), ORIGIN_SINGULAR)], ids=["log", "gamma=1/2", "gamma=-1/2"])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_solved_state_origin_rule(self, v0, divergent_at_l0, l):
+        # f -> b rho^q needs q >= -2l, and f = ln rho needs l >= 1
+        st = solve_bound(v0, l, 0)
+        for choice in FChoice:
+            if l == 0 and choice in divergent_at_l0:
+                with pytest.raises(DivergentExpectation):
+                    kramers_general(st, v0, choice)
+            else:
+                assert math.isfinite(kramers_general(st, v0, choice)), choice
+
+    @pytest.mark.parametrize("v0, l, choice", [
+        (power_law(F(1, 2)), 0, FChoice.V0), (power_law(F(-1, 2)), 1, FChoice.V0_PRIME)],
+        ids=["gamma=1/2-l0-v0", "gamma=-1/2-l1-v0_prime"])
+    def test_grid_residual_includes_origin_piece(self, v0, l, choice):
+        # singular but integrable weights: without int_0^rho_min the residual is ~6e-5
+        assert abs(kramers_general(solve_bound(v0, l, 0), v0, choice)) <= 1e-10
+
 
 class TestKramersRecurrence:
     def test_example_values(self):
