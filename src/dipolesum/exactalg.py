@@ -161,16 +161,12 @@ def _integral(terms: list[tuple[int, int]], den: int, rate: Fraction) -> Fractio
     return Fraction(num, den * p ** (top + 1))
 
 
-def integrate(f: PolyExp) -> Fraction:
-    """Exact int_0^inf f drho via int rho^n exp(-a rho) = n!/a^(n+1)."""
-    return _integral(*_cleared(f), f.rate)
-
-
 def overlap(f: PolyExp, g: PolyExp) -> Fraction:
     """Exact int_0^inf f g drho.  Rates need not match (they add).
 
-    The cleared integer coefficients are convolved; exact cancellations are
-    pruned before the origin check, as in integrate(mul(f, g)).
+    The cleared integer coefficients are convolved, and exact cancellations
+    are pruned before the origin check, so a divergent term of f g that
+    cancels does not raise.
     """
     (nf, df), (ng, dg) = _cleared(f), _cleared(g)
     acc: dict[int, int] = {}

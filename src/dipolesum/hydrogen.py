@@ -224,52 +224,12 @@ def bound_bound_z2(state: BoundState, to_n: int, chan: Channel) -> Fraction:
     Value equals chan.weight * (int u_from rho u_to drho)^2.  Exact finish of
     the factored kernel _z2_factors: Fraction(num, den) * ratio**power, one
     gcd for the prefactor, cheap for to_n in the thousands although the
-    result has tens of thousands of digits.  bound_bound_z2_overlap is the
-    direct route for cross-checks.
+    result has tens of thousands of digits.  The direct route, the
+    polynomial overlap of the two states, agrees exactly (checked in the
+    tests) but slows down for large to_n.
     """
     num, den, power = _z2_factors(state, to_n, chan)
     return Fraction(num, den) * Fraction(to_n - state.n, to_n + state.n) ** power
-
-
-def bound_bound_z2_floats(state: BoundState, chan: Channel, n_lo: int, n_hi: int) -> list[float]:
-    """Float finish of the factored kernel for to_n = n_lo..n_hi: each value
-    is float(bound_bound_z2) to a few ulp.
-
-    Below to_n = m + 2 (m = state.n) the element is num / den from
-    _z2_factors.  From there on _z2_polynomials, built once per call, gives
-    T, evaluated by Horner at each level, c and e; num is the closed product
-    prefactor perm(to_n + l', 2l'+1) to_n^(2l') T^2 and den is c (to_n + m)^e:
-    the same integers as _z2_factors, so the same floats, for a quarter to a
-    tenth of the cost (a 2000-level table of 1s+ in 2.2 ms instead of 9, of
-    5s+ in 4.3 ms instead of 42).  The prefactor num / den is rounded once:
-    int true division rounds correctly, as float(Fraction) does, so a float
-    depends only on the rational num / den.  The only float error is the
-    power, exp(power * log1p(-2m/(to_n + m))) with the log of ratio, whose
-    error grows like 4 m eps: below 3.2e-15 relative for m <= 5 up to
-    to_n = 2000.  It overflows, loudly, for m above about 170.
-    """
-    m = state.n
-    out = []
-    for n in range(n_lo, min(n_hi, m + 1) + 1):
-        num, den, _ = _z2_factors(state, n, chan)   # the power is 0 below m + 2
-        out.append(num / den)
-    if n_hi >= m + 2:
-        prefactor, t, c, e = _z2_polynomials(state, chan)
-        lp = chan.target_l
-        for n in range(max(n_lo, m + 2), n_hi + 1):
-            tn = 0
-            for a in t:
-                tn = tn * n + a
-            num = prefactor * math.perm(n + lp, 2 * lp + 1) * n ** (2 * lp) * tn * tn
-            out.append(num / (c * (n + m) ** e) * math.exp(2 * (n - m - 2) * math.log1p(-2 * m / (n + m))))
-    return out
-
-
-def bound_bound_z2_overlap(state: BoundState, to_n: int, chan: Channel) -> Fraction:
-    """Same value via the explicit polynomial overlap (slow for large to_n)."""
-    to = bound_state(to_n, chan.target_l)
-    integral = xa.overlap(xa.shift(state.radial, 1), to.radial)
-    return chan.weight * integral**2 * state.norm2 * to.norm2
 
 
 def z2_1s_to_np(n: int) -> Fraction:
@@ -278,6 +238,319 @@ def z2_1s_to_np(n: int) -> Fraction:
         raise InvalidQuantumNumbers("final nP state requires n >= 2")
     return Fraction(2**8, 3) * Fraction(n**7 * (n - 1) ** (2 * n),
                                         (n * n - 1) ** 5 * (n + 1) ** (2 * n))
+
+
+# ---------------------------------------------------------------------------
+# double-double arithmetic on float64 arrays
+# ---------------------------------------------------------------------------
+#
+# A pair (hi, lo) stands for hi + lo with |lo| <= ulp(hi)/2: about 106 bits.
+# Products are Dekker's (1971): a double splits into two 26-bit halves, whose
+# products are exact, so the rounding error of a product is recovered
+# exactly.  A factor that is an integer below 2^26 is its own upper half.
+
+_SPLITTER = 134217729.0   # 2^27 + 1
+_SMALL_INT = 2**26        # an integer factor below this needs no split
+_BLOCK = 4096             # levels per array pass, so the work arrays stay small
+
+
+def _split(a):
+    """Dekker's split of the array a into two 26-bit halves, as new arrays."""
+    ah = _SPLITTER * a
+    al = ah - a
+    ah -= al
+    np.subtract(a, ah, out=al)
+    return ah, al
+
+
+def _renorm(s, err, out):
+    """s + err as a normalized pair, for |err| below about ulp(s): the high
+    part is written to out and the low part to err; s is overwritten."""
+    np.add(s, err, out=out)
+    s -= out
+    err += s
+    return out, err
+
+
+def _mul_int(hi, lo, k):
+    """(hi, lo) * k for integers 0 < k < 2^26 (an array of them); the pair's
+    arrays are reused."""
+    p = hi * k
+    ah, al = _split(hi)
+    ah *= k
+    ah -= p
+    al *= k
+    ah += al
+    lo *= k
+    ah += lo            # p's rounding error, exactly, plus lo k
+    return _renorm(p, ah, hi)
+
+
+def _square(hi, lo):
+    """(hi, lo)^2; the pair's arrays are reused."""
+    p = hi * hi
+    ah, al = _split(hi)
+    err = ah * ah
+    err -= p
+    ah *= al
+    ah += ah
+    err += ah
+    al *= al
+    err += al           # p's rounding error, exactly
+    np.multiply(hi, lo, out=ah)
+    ah += ah
+    err += ah
+    return _renorm(p, err, hi)
+
+
+def _mul_const(hi, lo, b):
+    """(hi, lo) * (b_hi, b_lo) for b = (b_hi, b_lo, b_hi's two halves), all
+    floats; the pair's arrays are reused."""
+    b_hi, b_lo, bh, bl = b
+    p = hi * b_hi
+    ah, al = _split(hi)
+    err = ah * bh
+    err -= p
+    ah *= bl
+    err += ah
+    np.multiply(al, bh, out=ah)
+    err += ah
+    al *= bl
+    err += al           # p's rounding error, exactly
+    np.multiply(hi, b_lo, out=ah)
+    lo *= b_hi
+    ah += lo
+    err += ah
+    return _renorm(p, err, hi)
+
+
+def _div(hi, lo, bhi, blo):
+    """(hi, lo) / (bhi, blo): one float quotient and one correction; the
+    arrays of both pairs are reused."""
+    q = hi / bhi
+    p = q * bhi
+    qh, ql = _split(q)
+    bh, bl = _split(bhi)
+    err = qh * bh
+    err -= p
+    qh *= bl
+    err += qh
+    np.multiply(ql, bh, out=qh)
+    err += qh
+    ql *= bl
+    err += ql           # q bhi = p + err exactly
+    hi -= p
+    hi -= err
+    hi += lo
+    blo *= q
+    hi -= blo
+    hi /= bhi           # the correction (hi - q bhi + lo - q blo) / bhi
+    return _renorm(q, hi, lo)
+
+
+def _add_const(hi, lo, b_hi, b_lo):
+    """(hi, lo) + (b_hi, b_lo) for floats b_hi, b_lo, with an error below a
+    few 2^-106 (|hi| + |b_hi|); the pair's arrays are reused."""
+    s = hi + b_hi
+    v = s - hi
+    hi -= s - v
+    np.subtract(b_hi, v, out=v)
+    hi += v
+    hi += lo
+    hi += b_lo          # s's rounding error, exactly, plus both low parts
+    return _renorm(s, hi, lo)
+
+
+def _pow_int(base, k):
+    """base^k for integers 0 < base < 2^26 (an array of them) and k >= 1,
+    by squaring."""
+    hi, lo = base.copy(), np.zeros_like(base)
+    for bit in bin(k)[3:]:
+        hi, lo = _square(hi, lo)
+        if bit == "1":
+            hi, lo = _mul_int(hi, lo, base)
+    return hi, lo
+
+
+def _needs_exact(hi, lo, kappa):
+    """Levels whose double-double prefactor (hi, lo) may not round to hi.
+
+    The exact value lies within 2^-70 |hi| kappa of hi + lo, with kappa =
+    1 + sum |t_i| n^i / |T(n)|, the condition number of T's Horner sum plus
+    one for every other step.  hi rounds the exact value correctly when lo
+    is that much further than ulp(hi)/2 from the midpoint on either side,
+    and hi is not a power of two (below which the spacing halves).  Levels
+    where hi is below 2^-900 or anything is infinite or NaN are flagged too
+    (every comparison with NaN is False, and ulp(inf) is NaN).
+    """
+    mag = np.abs(hi)
+    ok = np.abs(np.abs(lo) - 0.5 * np.spacing(mag)) > 2.0**-70 * mag * kappa
+    ok &= mag >= 2.0**-900
+    ok &= np.frexp(mag)[0] != 0.5
+    ok &= np.isfinite(lo)
+    return ~ok
+
+
+# ---------------------------------------------------------------------------
+# float tables of bound-bound elements
+# ---------------------------------------------------------------------------
+
+
+def bound_bound_z2_floats(state: BoundState, chan: Channel, n_lo: int, n_hi: int) -> list[float]:
+    """Float finish of the factored kernel for to_n = n_lo..n_hi: each value
+    is float(bound_bound_z2) to a few ulp.
+
+    Below to_n = m + 2 (m = state.n) the element is num / den from
+    _z2_factors, where the power is 0.  From there on _z2_polynomials, built
+    once per call, gives num = P perm(to_n + l', 2l'+1) to_n^(2l') T(to_n)^2
+    and den = c (to_n + m)^e, and the levels are finished as float64 arrays,
+    _BLOCK levels at a time (_prefactors): the prefactor num / den is
+    evaluated in double-double and rounded to its leading double, which is
+    the correctly rounded num / den unless the error bound cannot tell
+    (_needs_exact); those levels, and levels whose Horner bound leaves the
+    double range, take the integer expression, whose int true division also
+    rounds correctly.  A correctly rounded value is unique, so every float
+    equals the one a per-level loop over the integers gives, bit for bit.
+    The only float error is the power, exp(power * log1p(-2m/(to_n + m)))
+    with the log of ratio, taken per level on libm's exp and log1p (numpy's
+    SIMD exp and log1p differ in the last bit on some levels), whose error
+    grows like 4 m eps: below 3.2e-15 relative for m <= 5 up to to_n = 2000.
+    The integer expression overflows, loudly, for m above about 170.
+
+    For m <= 5 a 2000-level table takes a third of the per-level integer
+    loop's time or less (1s+ 1.2 ms against 4.5, 5s+ 2.4 against 8.6, on a
+    shared 2-vCPU machine), the per-level exp and log1p about 0.3 ms of it;
+    for large m building T dominates (20s+ 79 ms against 101).
+    """
+    m = state.n
+    out = []
+    for n in range(n_lo, min(n_hi, m + 1) + 1):
+        num, den, _ = _z2_factors(state, n, chan)   # the power is 0 below m + 2
+        out.append(num / den)
+    if n_hi >= m + 2:
+        poly = _z2_polynomials(state, chan)
+        dd = _dd_constants(poly)
+        for start in range(max(n_lo, m + 2), n_hi + 1, _BLOCK):
+            ns = np.arange(start, min(start + _BLOCK, n_hi + 1), dtype=float)
+            a = _prefactors(poly, dd, chan.target_l, m, ns)
+            a *= _power_factors(m, ns)
+            out += a.tolist()
+    return out
+
+
+def _power_factors(m: int, ns: np.ndarray) -> np.ndarray:
+    """ratio^(2(n - m - 2)) = exp(2(n - m - 2) log1p(-2m/(n + m))) per level,
+    on libm's exp and log1p, whose last bits the pinned tables carry."""
+    x = np.fromiter(map(math.log1p, ((-2.0 * m) / (ns + m)).tolist()), float, len(ns))
+    x *= 2.0 * (ns - (m + 2))
+    return np.fromiter(map(math.exp, x.tolist()), float, len(ns))
+
+
+def _prefactor_exact(poly: tuple[int, list[int], int, int], lp: int, m: int, n: int) -> float:
+    """num / den at level n from the integers, one correctly rounded division."""
+    prefactor, t, c, e = poly
+    tn = 0
+    for a in t:
+        tn = tn * n + a
+    return prefactor * math.perm(n + lp, 2 * lp + 1) * n ** (2 * lp) * tn * tn / (c * (n + m) ** e)
+
+
+def _dd_constants(poly: tuple[int, list[int], int, int]):
+    """T's coefficients, leading zeros dropped, as ints and as double-double
+    pairs, and P / c as a pair with its high part's Dekker halves, each pair
+    within 2^-105 relative; None when one leaves the double range."""
+    prefactor, t, c, _ = poly
+    t = t[next((i for i, a in enumerate(t) if a), len(t) - 1):]
+    k = Fraction(prefactor, c)
+    try:
+        t_hi = [float(a) for a in t]
+        k_hi = float(k)
+    except OverflowError:
+        return None
+    if not 2.0**-900 < k_hi < 2.0**900:
+        return None
+    t_lo = [float(a - int(h)) for a, h in zip(t, t_hi)]
+    kh = _SPLITTER * k_hi
+    kh -= kh - k_hi                     # as _split does for arrays
+    return t, t_hi, t_lo, (k_hi, float(k - Fraction(k_hi)), kh, k_hi - kh)
+
+
+def _prefactors(poly: tuple[int, list[int], int, int], dd, lp: int, m: int, ns: np.ndarray) -> np.ndarray:
+    """num / den at the levels ns >= m + 2 (a float array of integers), each
+    correctly rounded: the double-double value's leading double where
+    _needs_exact lets it stand, else the integer expression.  The whole
+    block takes the integers when an integer factor reaches 2^26 or dd is
+    None."""
+    out = np.empty_like(ns)
+    exact = np.ones(len(ns), dtype=bool)
+    if dd is not None and int(ns[-1]) + max(lp, m) < _SMALL_INT:
+        with np.errstate(all="ignore"):
+            hi, lo, kappa = _prefactors_dd(poly, dd, lp, m, ns)
+            out[:len(hi)] = hi
+            exact[:len(hi)] = _needs_exact(hi, lo, kappa)
+    for i in np.flatnonzero(exact).tolist():
+        out[i] = _prefactor_exact(poly, lp, m, int(ns[i]))
+    return out
+
+
+def _prefactors_dd(poly: tuple[int, list[int], int, int], dd, lp: int, m: int, ns: np.ndarray):
+    """(hi, lo, kappa): num / den in double-double at the levels of ns whose
+    sum |t_i| n^i stays below 2^960 (a prefix, as the sum grows with n), and
+    the bound's condition number kappa = 1 + sum |t_i| n^i / |T(n)|.
+
+    T by Horner, in plain floats while every partial sum is an integer below
+    2^53 (bounded by sum |t_i| n_hi^i) and then with compensated steps
+    (Graillat, Langlois and Louvet 2005); T / (n + m)^(e/2), squared, so that
+    T^2 and (n + m)^e, which leave the double range long before the value
+    does, are never formed; times perm(n + l', 2l'+1) n^(2l'), several
+    integer factors at a time while their product stays below 2^26; times
+    P / c.  Each step's relative error is below about 2^-103, T's Horner
+    loop adds below deg T 2^-103 sum |t_i| n^i, and the coefficients'
+    rounding 2^-105 of that sum.  With deg T <= 3m and fewer than 4m + 30
+    other steps the result is within 2^-93 kappa of num / den for m <= 170,
+    so the 2^-70 kappa of _needs_exact leaves a margin of 2^23.  Every
+    intermediate from the square on is at least the square or the result;
+    kappa is infinite where the square is below 2^-900, as the low parts
+    would lose bits there.  Overflow gives inf or NaN, which _needs_exact
+    flags; the caller ignores numpy's floating-point errors.
+    """
+    t, t_hi, t_lo, k = dd
+    n_hi = int(ns[-1])
+    s = np.full_like(ns, abs(t_hi[0]))
+    for a in t_hi[1:]:
+        s *= ns
+        s += abs(a)
+    fit = int(np.searchsorted(s, 2.0**960))
+    n, kappa = ns[:fit], s[:fit]
+    bound, j = abs(t[0]), 1
+    while j < len(t) and bound * n_hi + abs(t[j]) < 2**53:
+        bound, j = bound * n_hi + abs(t[j]), j + 1
+    hi = np.full_like(n, t_hi[0])
+    for a in t_hi[1:j]:
+        hi *= n
+        hi += a
+    lo = np.full_like(n, t_lo[0])      # 0 unless |t_0| >= 2^53
+    for a, b in zip(t_hi[j:], t_lo[j:]):
+        hi, lo = _add_const(*_mul_int(hi, lo, n), a, b)
+    kappa /= np.abs(hi)
+    kappa += 1
+    hi, lo = _div(hi, lo, *_pow_int(n + m, poly[3] // 2))
+    hi, lo = _square(hi, lo)
+    kappa[np.abs(hi) < 2.0**-900] = np.inf
+    f, f_max = 1.0, 1
+    for r in list(range(-lp, lp + 1)) + [0] * (2 * lp):
+        if f_max * (n_hi + r) >= _SMALL_INT:
+            hi, lo = _mul_int(hi, lo, f)
+            f, f_max = 1.0, 1
+        f = f * (n + r)
+        f_max *= n_hi + r
+    hi, lo = _mul_const(*_mul_int(hi, lo, f), k)
+    return hi, lo, kappa
+
+
+# ---------------------------------------------------------------------------
+# bound-free elements
+# ---------------------------------------------------------------------------
 
 
 def continuum_z2_1s(q: float) -> float:

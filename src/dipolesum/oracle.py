@@ -4,13 +4,15 @@ Discrete parts sum squared matrix elements over the first n_max levels
 (n_max = 2000 by default, matching the reference splits, which are truncated
 sums).  Each element is the float finish of the exact factored kernel
 (hydrogen.bound_bound_z2_floats): the small prefactor, a ratio of two
-integers, is rounded once and the giant power of (n-m)/(n+m) goes through
-log1p, the only float error; no alternating sum is done in floating point,
-and each element stays within a few ulp of the rounded exact value,
-float(bound_bound_z2).  A table grows a range of levels at a time: from
-n = m + 2 on, an integer polynomial in n, built once per range, and a closed
-product give the per-level kernel's integers, so its floats, at a quarter to a
-tenth of the cost.
+integers, is rounded once, correctly, and the giant power of (n-m)/(n+m)
+goes through log1p, the only float error; each element stays within a few
+ulp of the rounded exact value, float(bound_bound_z2).  A table grows a
+range of levels at a time: from n = m + 2 on, the prefactor is an integer
+polynomial in n, built once per range, and a closed product, evaluated for
+all levels at once in double-double float64 arrays and rounded; the few
+levels whose rounding the error bound cannot decide take the integers.  A
+correctly rounded value is unique, so the floats are the per-level
+kernel's, bit for bit, at about a third of the per-level loop's cost.
 The table is one float64 array, and a sum weights all its levels at once with
 np.float_power(1/m^2 - 1/n^2, J), then one math.fsum.  np.float_power calls
 libm pow per element, as Python's float ** int does, so every term is the one

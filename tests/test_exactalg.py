@@ -22,6 +22,11 @@ def pe(coeffs, rate):
     return xa.polyexp(coeffs, rate)
 
 
+def integrate(f):
+    """Exact int_0^inf f drho through the integer kernel that overlap uses."""
+    return xa._integral(*xa._cleared(f), f.rate)
+
+
 class TestAdd:
     def test_additive_inverse_prunes_to_zero(self):
         f = pe({2: 2}, 1)
@@ -157,7 +162,7 @@ def test_integration_by_parts_boundary(f, g):
     # int (f g)' drho = -[f g](0); assembled first so the origin-divergent
     # pieces of f'g and g'f cancel before integrating
     combined = xa.add(xa.mul(xa.differentiate(f), g), xa.mul(f, xa.differentiate(g)))
-    assert xa.integrate(combined) == -xa.origin_limit(xa.mul(f, g))
+    assert integrate(combined) == -xa.origin_limit(xa.mul(f, g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -276,8 +281,8 @@ def laurent(rate, lo=-2, hi=7):
 @given(laurent(rates, lo=-3), laurent(rates, lo=-3))
 def test_overlap_and_integrate_match_reference(f, g):
     assert outcome(xa.overlap, f, g) == outcome(ref_overlap, f, g)
-    assert outcome(xa.integrate, f) == outcome(ref_integrate, f)
-    assert outcome(xa.integrate, xa.mul(f, g)) == outcome(ref_integrate, xa.mul(f, g))
+    assert outcome(integrate, f) == outcome(ref_integrate, f)
+    assert outcome(integrate, xa.mul(f, g)) == outcome(ref_integrate, xa.mul(f, g))
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,14 +9,18 @@ import numpy as np
 import pytest
 
 from dipolesum import exactalg as xa
+from dipolesum import hydrogen
 from dipolesum.errors import DivergentAtOrigin, InvalidQuantumNumbers, NonPositiveQ
 from dipolesum.hydrogen import (
+    _BLOCK,
+    _dd_constants,
     _linear_product,
+    _needs_exact,
+    _prefactors_dd,
     _z2_factors,
     _z2_polynomials,
     bound_bound_z2,
     bound_bound_z2_floats,
-    bound_bound_z2_overlap,
     bound_free_z2_closed,
     bound_state,
     channel,
@@ -26,6 +30,14 @@ from dipolesum.hydrogen import (
 )
 from dipolesum.oracle import _Channel
 from polyexp_helpers import normed_equal
+
+
+def z2_overlap(state, to_n, chan):
+    """|<n,l| z |to_n, l'>|^2 via the explicit polynomial overlap: the direct
+    route that the factored kernel must reproduce (slow for large to_n)."""
+    to = bound_state(to_n, chan.target_l)
+    integral = xa.overlap(xa.shift(state.radial, 1), to.radial)
+    return chan.weight * integral**2 * state.norm2 * to.norm2
 
 
 class TestChannel:
@@ -90,7 +102,7 @@ class TestBoundBound:
         st = bound_state(n, l)
         ch = channel(direction, l)
         for to_n in list(range(ch.target_l + 1, 12)) + [25, 40]:
-            assert bound_bound_z2(st, to_n, ch) == bound_bound_z2_overlap(st, to_n, ch)
+            assert bound_bound_z2(st, to_n, ch) == z2_overlap(st, to_n, ch)
 
     def test_missing_target(self):
         with pytest.raises(InvalidQuantumNumbers):
@@ -149,7 +161,7 @@ class TestFactoredKernel:
         num, den, power = _z2_factors(st, n, ch)
         assert power == 0
         exact = bound_bound_z2(st, n, ch)
-        assert exact == F(num, den) == bound_bound_z2_overlap(st, n, ch)
+        assert exact == F(num, den) == z2_overlap(st, n, ch)
         assert bound_bound_z2_floats(st, ch, n, n) == [float(exact)]
 
     @pytest.mark.parametrize("n,l,direction", KERNEL_CHANNELS)
@@ -201,6 +213,45 @@ class TestFactoredKernel:
         with pytest.raises(InvalidQuantumNumbers):
             bound_bound_z2_floats(bound_state(2, 1), channel("plus", 0), 20, 30)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixed_table_equals_per_level_finish(self, monkeypatch):
+        # from to_n = 3701 on, (to_n + 40)^(e/2) = (to_n + 40)^84 is above
+        # 2^997, where Dekker's split overflows: the double-double is NaN
+        # there and the integers take those levels
+        st, ch = bound_state(40, 20), channel("plus", 20)
+        exact_levels = []
+        per_level = hydrogen._prefactor_exact
+        monkeypatch.setattr(hydrogen, "_prefactor_exact",
+                            lambda *args: exact_levels.append(args[-1]) or per_level(*args))
+        table = bound_bound_z2_floats(st, ch, 3690, 3710)
+        assert 0 < len(exact_levels) < len(table)
+        assert table == [_factors_float(st, to_n, ch) for to_n in range(3690, 3711)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_block_boundary(self):
+        # the long table's levels 3..4100 are two blocks, split after 4098
+        st, ch = bound_state(1, 0), channel("plus", 0)
+        assert 3 + _BLOCK - 1 in range(4090, 4100)
+        full = bound_bound_z2_floats(st, ch, 2, 4100)
+        assert bound_bound_z2_floats(st, ch, 4090, 4100) == full[4090 - 2:]
+
+    @pytest.mark.parametrize("n,l,direction", [(2, 1, "minus"), (5, 0, "plus"), (20, 0, "plus")])
+    def test_double_double_within_bound(self, n, l, direction):
+        # the error bound that _needs_exact assumes, 2^-70 kappa |hi|, has a
+        # margin of at least 2^23 over the double-double's error
+        st, ch = bound_state(n, l), channel(direction, l)
+        poly = _z2_polynomials(st, ch)
+        prefactor, t, c, e = poly
+        lp = ch.target_l
+        ns = np.array([n + 2, n + 3, 97, 2000, 30000], dtype=float)
+        with np.errstate(all="ignore"):
+            hi, lo, kappa = _prefactors_dd(poly, _dd_constants(poly), lp, n, ns)
+        assert len(hi) == len(ns) and np.all(np.isfinite(kappa))
+        for to_n, h, low, k in zip(ns.astype(int).tolist(), hi.tolist(), lo.tolist(), kappa.tolist()):
+            exact = F(prefactor * math.perm(to_n + lp, 2 * lp + 1) * to_n ** (2 * lp) * _poly_value(t, to_n) ** 2,
+                      c * (to_n + n) ** e)
+            assert abs(F(h) + F(low) - exact) <= F(2) ** -93 * k * abs(F(h)), to_n
+
     def test_giant_power_factored_out(self):
         # all digits that grow with to_n sit in ratio**power; the power is
         # 2 (k - j_max) with k = 2000 - l' - 1 and j_max = 2 - l' + 1, and the
@@ -217,6 +268,50 @@ class TestFactoredKernel:
         s1, ch = bound_state(1, 0), channel("plus", 0)
         for n in (500, 1000, 1999, 2000):
             assert bound_bound_z2(s1, n, ch) == z2_1s_to_np(n)
+
+
+class TestNeedsExact:
+    """The rule that sends a double-double prefactor (hi, lo) to the integers:
+    flagged when | |lo| - ulp(hi)/2 | <= 2^-70 |hi| kappa, when hi is a power
+    of two or below 2^-900, and when anything is infinite or NaN."""
+
+    HI = 1.5                       # ulp 2^-52, so the midpoint is at |lo| = 2^-53
+    BOUND = 2.0**-70 * 1.5 * 3.0   # with kappa = 3
+
+    def flagged(self, hi, lo, kappa=3.0):
+        return _needs_exact(np.array([hi]), np.array([lo]), np.array([kappa]))[0]
+
+    def test_exact_midpoints(self):
+        assert self.flagged(self.HI, 2.0**-53)
+        assert self.flagged(self.HI, -(2.0**-53))
+
+    def test_just_inside_and_outside_the_bound(self):
+        for sign in (1, -1):
+            for side in (1, -1):
+                assert self.flagged(self.HI, sign * (2.0**-53 + side * 0.99 * self.BOUND))
+                assert not self.flagged(self.HI, sign * (2.0**-53 + side * 1.01 * self.BOUND))
+
+    def test_far_from_the_midpoint(self):
+        assert not self.flagged(self.HI, 0.0)
+        assert not self.flagged(self.HI, 2.0**-60)
+        # a large condition number widens the bound past the midpoint
+        assert self.flagged(self.HI, 0.0, kappa=2.0**20)
+
+    def test_power_of_two(self):
+        assert self.flagged(2.0, -(2.0**-60))
+        assert self.flagged(0.25, -(2.0**-70))
+        assert not self.flagged(2.0 * self.HI, -(2.0**-60))
+
+    def test_tiny(self):
+        assert self.flagged(1.5 * 2.0**-901, 0.0)
+        assert not self.flagged(1.5 * 2.0**-899, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inf_and_nan(self):
+        for hi, lo, kappa in [(math.inf, 0.0, 3.0), (-math.inf, 0.0, 3.0), (math.nan, 0.0, 3.0),
+                              (self.HI, math.nan, 3.0), (self.HI, math.inf, 3.0),
+                              (self.HI, 0.0, math.nan), (self.HI, 0.0, math.inf)]:
+            assert self.flagged(hi, lo, kappa), (hi, lo, kappa)
 
 
 class TestContinuumClosedForm:
